@@ -232,23 +232,13 @@ fn bench_simd_kernels(c: &mut Criterion) {
     group.bench_function("popcount/scalar", |b| {
         b.iter(|| scalar::popcount(black_box(&planes[0])));
     });
-    // The sparse gather has two scalar expansions rather than a vector
-    // path: the dispatched per-bit walk and the byte-LUT batched variant
-    // it is pinned against.  Benching both documents why the walk wins in
-    // the sparse regime this path serves.
+    // The sparse gather has no vector path: the dispatched expansion is
+    // the scalar per-bit walk.
     group.bench_function("sparse_gather/bit_walk", |b| {
         let mut out = Vec::with_capacity(WORDS * 64);
         b.iter(|| {
             out.clear();
             simd::collect_set_bits(black_box(&planes[0]), 0, &mut out);
-            out.len()
-        });
-    });
-    group.bench_function("sparse_gather/byte_lut", |b| {
-        let mut out = Vec::with_capacity(WORDS * 64);
-        b.iter(|| {
-            out.clear();
-            scalar::collect_set_bits_batched(black_box(&planes[0]), 0, &mut out);
             out.len()
         });
     });
@@ -398,11 +388,6 @@ fn main() {
     for (kernel, fast_id, slow_id) in [
         ("occupancy_or", level.to_string(), "scalar".to_string()),
         ("popcount", level.to_string(), "scalar".to_string()),
-        (
-            "sparse_gather",
-            "bit_walk".to_string(),
-            "byte_lut".to_string(),
-        ),
         ("dense_gather", level.to_string(), "scalar".to_string()),
         ("pack_occupancy", level.to_string(), "scalar".to_string()),
     ] {

@@ -1,17 +1,16 @@
-//! End-to-end Criterion benchmarks: full inference of converted SNN models
-//! on the accelerator simulator, in both cycle-accurate and
-//! transaction-level modes, plus the analytical design-space evaluation
-//! used for Tables II and III.
+//! End-to-end Criterion benchmarks: full cycle-accurate inference of
+//! converted SNN models on the accelerator simulator, plus the analytical
+//! design-space evaluation used for Tables II and III.
 //!
 //! Besides the criterion groups, the harness runs the **serving sweep**
 //! from [`snn_bench::serve_sweep`]: a batch of LeNet-5 inferences served
 //! through the streaming micro-batching server at 1, 2 and 4 replica
-//! engines versus naive sequential `run_fast` per-input calls (compile +
-//! functional execution per call — what a client without the server would
-//! do).  The measured inferences/sec, replica scaling, speedup, thread
-//! budget and modelled per-unit utilisation are written to
-//! `BENCH_serve.json` at the workspace root so the serving-throughput
-//! trajectory is tracked PR over PR alongside `BENCH_conv.json`.
+//! engines versus naive sequential `run` per-input calls (compile +
+//! execution per call — what a client without the server would do).  The
+//! measured inferences/sec, replica scaling, speedup, thread budget and
+//! modelled per-unit utilisation are written to `BENCH_serve.json` at the
+//! workspace root so the serving-throughput trajectory is tracked PR over
+//! PR alongside `BENCH_conv.json`.
 
 use criterion::{criterion_group, Criterion};
 use snn_accel::config::AcceleratorConfig;
@@ -73,18 +72,11 @@ fn bench_inference(c: &mut Criterion) {
                 .expect("run")
         });
     });
-    c.bench_function("inference/tiny_cnn_transaction", |b| {
+    c.bench_function("inference/lenet5_cycle_accurate", |b| {
         b.iter(|| {
             accel
-                .run_fast(black_box(&tiny), black_box(&tiny_input))
-                .expect("run_fast")
-        });
-    });
-    c.bench_function("inference/lenet5_transaction", |b| {
-        b.iter(|| {
-            accel
-                .run_fast(black_box(&lenet), black_box(&lenet_input))
-                .expect("run_fast")
+                .run(black_box(&lenet), black_box(&lenet_input))
+                .expect("run")
         });
     });
 }

@@ -1,5 +1,5 @@
 //! Standalone replica-sweep serving benchmark: runs the
-//! [`snn_bench::serve_sweep`] scenario (naive `run_fast` baseline, then
+//! [`snn_bench::serve_sweep`] scenario (naive `run` baseline, then
 //! the streaming server at 1, 2 and 4 replica engines) and writes
 //! `BENCH_serve.json` at the workspace root — the same schema the
 //! `end_to_end` criterion harness produces, minus the criterion `results`

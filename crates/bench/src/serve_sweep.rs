@@ -2,7 +2,7 @@
 //! inference versus the streaming server, swept across replica counts.
 //!
 //! One compiled LeNet-5 program is served three ways: a naive sequential
-//! `run_fast` call per input (per-call compile — what a client without the
+//! `run` call per input (per-call compile — what a client without the
 //! server would do), the streaming micro-batching server with a single
 //! engine, and the same server with 2 and 4 replica engines behind the
 //! queue-aware router.  Logits are bit-identical in every configuration
@@ -67,7 +67,7 @@ fn lenet_model() -> (SnnModel, Tensor<f32>) {
 /// Measures the serving scenario and returns the `BENCH_serve.json` body
 /// (everything except the criterion `results` array).
 ///
-/// Baseline: naive sequential `run_fast` per-input calls.  Contenders: the
+/// Baseline: naive sequential `run` per-input calls.  Contenders: the
 /// streaming server at each replica count in [`REPLICA_COUNTS`].  The
 /// historical `inferences_per_sec/stream_server` and
 /// `speedup_server_vs_naive` keys keep tracking the single-replica server
@@ -91,14 +91,14 @@ pub fn sweep_body() -> String {
         })
         .collect();
 
-    // Naive baseline: one `run_fast` call per input, best of ROUNDS.
+    // Naive baseline: one `run` call per input, best of ROUNDS.
     let accel = Accelerator::new(config);
-    accel.run_fast(&model, &inputs[0]).expect("warmup");
+    accel.run(&model, &inputs[0]).expect("warmup");
     let mut naive_best = f64::INFINITY;
     for _ in 0..ROUNDS {
         let start = Instant::now();
         for input in &inputs {
-            black_box(accel.run_fast(&model, input).expect("naive run_fast"));
+            black_box(accel.run(&model, input).expect("naive run"));
         }
         naive_best = naive_best.min(start.elapsed().as_secs_f64());
     }
@@ -196,7 +196,7 @@ pub fn sweep_body() -> String {
          \"batch\": {BATCH},\n\
          \"micro_batch\": {MICRO_BATCH},\n\
          \"thread_budget\": {},\n\
-         \"inferences_per_sec\": {{\"naive_run_fast\": {naive_ips:.2}, \
+         \"inferences_per_sec\": {{\"naive_run\": {naive_ips:.2}, \
          \"stream_server\": {serve_ips:.2}}},\n\
          \"speedup_server_vs_naive\": {speedup:.3},\n\
          \"replica_throughput_ips\": {{{}}},\n\

@@ -439,7 +439,7 @@ mod tests {
     const SAMPLE: &str = r#"{
 "workload": "lenet",
 "batch": 32,
-"inferences_per_sec": {"naive_run_fast": 900.0, "stream_server": 2200.0},
+"inferences_per_sec": {"naive_run": 900.0, "stream_server": 2200.0},
 "speedup_server_vs_naive": 2.4,
 "unit_utilisation": {"Convolution": {"units": 4, "busy_cycles": 73160, "total_cycles": 125568, "utilisation": 0.58}},
 "results": [
@@ -457,7 +457,7 @@ mod tests {
                 .find(|m| m.id == id)
                 .unwrap_or_else(|| panic!("missing metric {id}: {metrics:?}"))
         };
-        let naive = find("inferences_per_sec/naive_run_fast");
+        let naive = find("inferences_per_sec/naive_run");
         assert!(naive.higher_is_better);
         assert!((naive.value - 900.0).abs() < 1e-9);
         assert!(find("speedup_server_vs_naive").higher_is_better);
@@ -531,7 +531,7 @@ mod tests {
     fn new_and_retired_metrics_are_ignored() {
         let baseline = parse_metrics(SAMPLE).unwrap();
         let trimmed = parse_metrics(
-            r#"{"inferences_per_sec": {"naive_run_fast": 900.0}, "brand_new_per_sec": 1.0}"#,
+            r#"{"inferences_per_sec": {"naive_run": 900.0}, "brand_new_per_sec": 1.0}"#,
         )
         .unwrap();
         assert!(compare(&baseline, &trimmed, DEFAULT_THRESHOLD).is_empty());

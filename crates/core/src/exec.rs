@@ -1,36 +1,21 @@
-//! Pipelined execution engine: the layer loop of the simulator, as a stage
-//! graph.
+//! Execution engine: the layer loop of the simulator.
 //!
-//! The paper's hardware does not run layers strictly back-to-back: while
-//! the convolution units compute one group of output channels, the pooling
-//! unit already consumes the groups that finished earlier.  This module
-//! reproduces that execution model in software:
+//! The engine walks the compiled [`Program`] one layer at a time: each
+//! layer reads its input from the ping-pong activation buffer, runs on the
+//! bit-plane sparse processing-unit model of its kind
+//! ([`ConvolutionUnit`], [`PoolingUnit`], [`LinearUnit`]), and writes its
+//! output levels to the other half of the buffer.  Output channels inside
+//! a layer fan out over the shared [`snn_parallel`] worker pool; layers
+//! run back to back on the calling thread.
 //!
-//! * The compiled [`Program`] is walked as a **stage graph**.  A
-//!   convolution layer immediately followed by a pooling layer becomes a
-//!   *fused pair*: a producer stage computes the convolution one channel
-//!   group at a time (the same `units × channels_per_unit` groups the
-//!   hardware schedule uses, straggler included) and hands each finished
-//!   group to the pooling stage through a **bounded SPSC queue**, so
-//!   adjacent layers overlap on the host exactly where they overlap on
-//!   chip.  All other layers run as single stages.
-//! * The producer stage runs on a scoped thread reserved through
-//!   [`snn_parallel::ThreadBudget::try_lease_stage_threads`]; when the
-//!   budget is exhausted the pair silently degrades to the sequential
-//!   path.  Stage threads block on the queue, never on the worker pool, so
-//!   they cannot starve the pool's compute tasks.
-//! * **Determinism contract:** every accumulator the engine produces is a
-//!   sum of the same integer terms in a per-output-channel order, and
-//!   every [`UnitStats`] counter is linear in the output channels, so
-//!   per-group execution sums to exactly the whole-layer values.  The
-//!   sequential path (`ExecOptions { pipeline: false, .. }`) is the oracle
-//!   and property tests pin the pipelined accumulators, stats and full
-//!   [`RunReport`]s bit-identical to it.
-//!
-//! Per-unit **busy/idle cycle counters** are derived from the static
-//! schedule ([`utilisation_from_program`], straggler-aware via
-//! [`crate::timing::ConvGroupPlan`]) and feed the
-//! [`RunReport::utilisation`] field and the serving benchmarks.
+//! The chip overlaps adjacent convolution and pooling layers in hardware
+//! (the pooling unit consumes channel groups as the convolution units
+//! finish them).  That overlap is a property of the *modelled* schedule:
+//! the analytical timing model accounts for it, and per-unit
+//! **busy/idle cycle counters** are derived from the static schedule
+//! ([`utilisation_from_program`], straggler-aware via
+//! [`crate::timing::ConvGroupPlan`]) into [`RunReport::utilisation`].  The
+//! host does not re-enact it with threads.
 //!
 //! # Tiled activation buffers
 //!
@@ -38,163 +23,24 @@
 //! ([`crate::memory::plan_network_tiles`], driven by
 //! [`AcceleratorConfig::activation_buffer_bytes`]), layers whose working
 //! set exceeds the budget execute **tile by tile**: convolution and
-//! pooling stages gather one halo-extended row band at a time (the
-//! bit-plane packing happens per band inside the units), fully-connected
-//! stages stage lane-aligned output chunks, and a fused conv → pool pair
-//! streams `(row band × channel group)` items — not just channel groups —
-//! through its bounded queue, so the conv output of a VGG-scale layer is
-//! never resident as a whole on the modelled chip.  Every per-tile counter
-//! sums to exactly the untiled layer's counters, so the tiled
-//! [`RunReport`] stays bit-identical to the untiled sequential oracle.
+//! pooling layers gather one halo-extended row band at a time (the
+//! bit-plane packing happens per band inside the units) and
+//! fully-connected layers stage lane-aligned output chunks.  Every
+//! per-tile counter sums to exactly the untiled layer's counters, so the
+//! tiled [`RunReport`] is bit-identical to the untiled one.
 
 use crate::compiler::{LayerProgram, Program};
 use crate::config::{AcceleratorConfig, MemoryOption};
 use crate::conv::ConvolutionUnit;
 use crate::linear::LinearUnit;
-use crate::memory::{LayerTiling, MemoryTraffic, PingPongBuffer, RowBand};
+use crate::memory::{LayerTiling, MemoryTraffic, PingPongBuffer};
 use crate::pool::PoolingUnit;
 use crate::report::{LayerExecution, RunReport, UnitUtilisation};
 use crate::timing::{ConvGroupPlan, StageKind};
 use crate::units::UnitStats;
 use crate::{AccelError, Result};
-use snn_model::layer::PoolKind;
 use snn_model::snn::{requantize, SnnLayer, SnnModel};
-use snn_tensor::{ops, Tensor};
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
-use std::thread;
-
-/// At which level of detail an inference executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// Unit-exact: every layer runs on the bit-plane sparse
-    /// processing-unit models with exact work/operation counts.
-    CycleAccurate,
-    /// Transaction-level: functional integer math plus the analytical
-    /// timing model only.
-    Transaction,
-}
-
-/// Options steering the execution engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Overlap adjacent convolution → pooling stages through a bounded
-    /// queue (`false` selects the sequential oracle path).
-    pub pipeline: bool,
-    /// Depth of the bounded SPSC queue between fused stages, in channel
-    /// groups (clamped to at least 1).
-    pub queue_capacity: usize,
-    /// Per-call ceiling on the threads this execution may occupy: `0`
-    /// (the default) means "whatever the global
-    /// [`snn_parallel::ThreadBudget`] allows".  A replicated server sets
-    /// this to each replica's share of the budget so N replicas cannot
-    /// collectively oversubscribe the host; a cap of `1` additionally
-    /// disables the fused-pair stage thread (the pipeline falls back to
-    /// the bit-identical sequential path, since overlapping stages on a
-    /// single allotted thread buys nothing).  Results are bit-identical
-    /// for every value — the cap steers scheduling, never math.
-    pub thread_cap: usize,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            pipeline: true,
-            queue_capacity: 2,
-            thread_cap: 0,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bounded SPSC queue
-// ---------------------------------------------------------------------------
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    /// Producer finished: `pop` drains the backlog then returns `None`.
-    finished: bool,
-    /// Consumer bailed out: `push` discards and returns `false`.
-    closed: bool,
-}
-
-/// A bounded single-producer single-consumer queue: the conveyor between
-/// two pipeline stages.  `push` blocks while the queue is full — that is
-/// the backpressure that keeps a fast producer at most `capacity` channel
-/// groups ahead of the consumer, like the ping-pong buffer does on chip.
-pub(crate) struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    space: Condvar,
-    item: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    pub(crate) fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                finished: false,
-                closed: false,
-            }),
-            space: Condvar::new(),
-            item: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Blocks until there is space, then enqueues `value`.  Returns `false`
-    /// when the consumer closed the queue (the value is dropped).
-    pub(crate) fn push(&self, value: T) -> bool {
-        let mut state = self.state.lock().expect("queue lock");
-        loop {
-            if state.closed {
-                return false;
-            }
-            if state.items.len() < self.capacity {
-                state.items.push_back(value);
-                self.item.notify_one();
-                return true;
-            }
-            state = self.space.wait(state).expect("queue wait");
-        }
-    }
-
-    /// Blocks until an item arrives; returns `None` once the producer
-    /// finished and the backlog is drained.
-    pub(crate) fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue lock");
-        loop {
-            if let Some(value) = state.items.pop_front() {
-                self.space.notify_one();
-                return Some(value);
-            }
-            if state.finished {
-                return None;
-            }
-            state = self.item.wait(state).expect("queue wait");
-        }
-    }
-
-    /// Producer side: no more items will be pushed.
-    pub(crate) fn finish(&self) {
-        let mut state = self.state.lock().expect("queue lock");
-        state.finished = true;
-        self.item.notify_all();
-    }
-
-    /// Consumer side: stop accepting items (unblocks a waiting producer).
-    pub(crate) fn close(&self) {
-        let mut state = self.state.lock().expect("queue lock");
-        state.closed = true;
-        state.items.clear();
-        self.space.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Execution engine
-// ---------------------------------------------------------------------------
+use snn_tensor::Tensor;
 
 /// The instantiated processing units of one accelerator.
 struct Units {
@@ -217,20 +63,14 @@ impl Units {
     }
 }
 
-/// Executes one inference over a compiled program.
-///
-/// This is the layer loop previously embedded in `sim.rs`, generalised to
-/// the stage graph described in the module docs.  With
-/// `options.pipeline == false` it reproduces the original strictly
-/// sequential execution (the oracle); with pipelining enabled the result
-/// is bit-identical by construction and pinned by property tests.
+/// Executes one inference over a compiled program: the layers run in
+/// order, each reading the previous layer's levels from the ping-pong
+/// buffer.
 pub(crate) fn execute(
     config: &AcceleratorConfig,
     model: &SnnModel,
     program: &Program,
     input_levels: Tensor<i64>,
-    mode: ExecutionMode,
-    options: ExecOptions,
 ) -> Result<RunReport> {
     let max_level = model.max_level();
     let time_steps = model.time_steps();
@@ -238,85 +78,26 @@ pub(crate) fn execute(
 
     // Activations live in the 2-D ping-pong buffer until the flatten step,
     // then in the 1-D buffer.  We model both with one runtime buffer pair
-    // since only one is active at a time.  A fused conv → pool pair keeps
-    // its intermediate channel groups in the stage queue instead of the
-    // buffer, exactly like the hardware streams them between units.
+    // since only one is active at a time.
     let mut buffer = PingPongBuffer::new();
     buffer.load_input(input_levels);
 
     let mut layers = Vec::with_capacity(program.steps.len());
     let mut traffic = MemoryTraffic::default();
-    let model_layers = model.layers();
-
-    let mut index = 0;
-    while index < program.steps.len() {
-        let current = buffer.current()?.clone();
-        let step = &program.steps[index];
-
-        // Fused stage pair: convolution feeding pooling through the queue.
-        // Overlap needs more than one streamed item (channel groups and/or
-        // row bands) and a stage thread from the shared budget; otherwise
-        // fall back to the sequential path, which is bit-identical.
-        if options.pipeline
-            && options.thread_cap != 1
-            && index + 1 < program.steps.len()
-            && step.kind == StageKind::Convolution
-            && program.steps[index + 1].kind == StageKind::Pooling
-        {
-            let window = match &model_layers[index + 1] {
-                SnnLayer::Pool { window, .. } => *window,
-                _ => 1,
-            };
-            let pool_tiled = program.steps[index + 1].tiling.is_some();
-            if let Some(bands) = fused_band_list(step, window, pool_tiled, mode) {
-                if step.channel_groups > 1 || bands.len() > 1 {
-                    if let Some(lease) = snn_parallel::budget().try_lease_stage_threads(1) {
-                        let pool_step = &program.steps[index + 1];
-                        // Stream exactly the hardware's channel groups: one
-                        // pass carries `units x channels_per_unit` output
-                        // channels, the final (straggler) group whatever
-                        // remains — per row band when the layer is tiled.
-                        let group_size = (step.channels_per_unit * config.conv_units).max(1);
-                        let (pooled, conv_work, pool_work) = run_fused_conv_pool(
-                            &units,
-                            &current,
-                            &model_layers[index],
-                            &model_layers[index + 1],
-                            pool_step,
-                            &bands,
-                            group_size,
-                            time_steps,
-                            max_level,
-                            mode,
-                            options.queue_capacity,
-                        )?;
-                        drop(lease);
-                        record_layer(&mut layers, &mut traffic, config, step, conv_work);
-                        record_layer(&mut layers, &mut traffic, config, pool_step, pool_work);
-                        buffer.write_and_swap(pooled);
-                        index += 2;
-                        continue;
-                    }
-                }
-            }
-        }
-
-        // Single stage: the sequential oracle step.
-        let (next, work) = run_single_layer(
+    for (layer, step) in model.layers().iter().zip(&program.steps) {
+        let (next, work) = run_layer(
             &units,
-            &model_layers[index],
+            layer,
             step,
-            &current,
+            buffer.current()?,
             time_steps,
             max_level,
-            mode,
         )?;
         record_layer(&mut layers, &mut traffic, config, step, work);
         buffer.write_and_swap(next);
-        index += 1;
     }
 
-    let logits = buffer.current()?.clone();
+    let logits = buffer.into_current()?;
     let prediction = logits
         .iter()
         .enumerate()
@@ -399,28 +180,24 @@ fn write_row_band(dst: &mut Tensor<i64>, band: &Tensor<i64>, out_lo: usize) {
     }
 }
 
-/// Executes one layer as a single stage (the original sequential step),
-/// tile by tile when the compiled step carries a tiling.
-fn run_single_layer(
+/// Executes one layer on its processing unit, tile by tile when the
+/// compiled step carries a tiling.
+fn run_layer(
     units: &Units,
     layer: &SnnLayer,
     step: &LayerProgram,
     current: &Tensor<i64>,
     time_steps: usize,
     max_level: i64,
-    mode: ExecutionMode,
 ) -> Result<(Tensor<i64>, UnitStats)> {
-    match (layer, mode) {
-        (
-            SnnLayer::Conv {
-                weight_codes,
-                bias_acc,
-                stride,
-                padding,
-                requant,
-            },
-            ExecutionMode::CycleAccurate,
-        ) => {
+    match layer {
+        SnnLayer::Conv {
+            weight_codes,
+            bias_acc,
+            stride,
+            padding,
+            requant,
+        } => {
             if let Some(LayerTiling::RowBands { bands, .. }) = &step.tiling {
                 let mut levels = Tensor::filled(step.out_shape.clone(), 0i64);
                 let mut work = UnitStats::default();
@@ -455,14 +232,11 @@ fn run_single_layer(
             let levels = apply_requant(&result.accumulators, *requant, max_level);
             Ok((levels, result.stats))
         }
-        (
-            SnnLayer::Linear {
-                weight_codes,
-                bias_acc,
-                requant,
-            },
-            ExecutionMode::CycleAccurate,
-        ) => {
+        SnnLayer::Linear {
+            weight_codes,
+            bias_acc,
+            requant,
+        } => {
             let result = if let Some(LayerTiling::OutputChunks { chunk }) = &step.tiling {
                 units.linear.run_layer_chunked(
                     current,
@@ -479,7 +253,7 @@ fn run_single_layer(
             let levels = apply_requant(&result.accumulators, *requant, max_level);
             Ok((levels, result.stats))
         }
-        (SnnLayer::Pool { kind, window }, ExecutionMode::CycleAccurate) => {
+        SnnLayer::Pool { kind, window } => {
             if let Some(LayerTiling::RowBands { bands, .. }) = &step.tiling {
                 let mut levels = Tensor::filled(step.out_shape.clone(), 0i64);
                 let mut work = UnitStats::default();
@@ -497,7 +271,7 @@ fn run_single_layer(
             let result = units.pool.run_layer(current, *kind, *window, time_steps)?;
             Ok((result.levels, result.stats))
         }
-        (SnnLayer::Flatten, _) => {
+        SnnLayer::Flatten => {
             let volume = current.len();
             let flattened = current
                 .clone()
@@ -511,305 +285,14 @@ fn run_single_layer(
             };
             Ok((flattened, work))
         }
-        // Transaction-level execution: functional math, no unit-level
-        // operation counting.
-        (layer, ExecutionMode::Transaction) => {
-            let next = functional_layer(layer, current, max_level)?;
-            Ok((next, UnitStats::default()))
-        }
     }
 }
 
-/// The row bands a fused conv → pool pair streams through its queue.
-///
-/// A tiled convolution step streams its planner bands when every band is
-/// aligned to the pooling window (each band then pools independently);
-/// unaligned bands return `None`, which makes the caller fall back to the
-/// bit-identical sequential tiled path.  An untiled conv step streams one
-/// band covering the whole layer — but only while the pooling step is
-/// untiled too: with an untiled producer and a tiled consumer, a streamed
-/// item would be a whole-height channel group, i.e. a working set the tile
-/// plan just ruled out, so that pair also falls back.  At transaction
-/// level tiling is ignored entirely and the full band always streams.
-fn fused_band_list(
-    conv_step: &LayerProgram,
-    window: usize,
-    pool_tiled: bool,
-    mode: ExecutionMode,
-) -> Option<Vec<RowBand>> {
-    let full = RowBand {
-        out_lo: 0,
-        out_hi: conv_step.out_shape[1],
-        in_lo: 0,
-        in_hi: conv_step.in_shape[1],
-    };
-    match (&conv_step.tiling, mode) {
-        (Some(LayerTiling::RowBands { bands, .. }), ExecutionMode::CycleAccurate) => {
-            if window > 0 && bands.iter().all(|b| b.out_rows() % window == 0) {
-                Some(bands.clone())
-            } else {
-                None
-            }
-        }
-        (None, ExecutionMode::CycleAccurate) if pool_tiled => None,
-        _ => Some(vec![full]),
-    }
-}
-
-/// Executes a fused convolution → pooling stage pair with channel-group
-/// and row-band overlap.
-///
-/// The producer (convolution stage, scoped thread) walks the row bands in
-/// order and, per band, computes one channel group per pass — slicing the
-/// kernel and bias exactly along the hardware's group boundaries — then
-/// pushes each requantized `(band × group)` tile into the bounded queue;
-/// the consumer (pooling stage, calling thread) pools each tile as it
-/// arrives and writes it into the output tensor at its channel and row
-/// offset.  Accumulators and every `UnitStats` counter are linear in the
-/// output channels and partition over the output rows (the pipeline-fill
-/// cycles belong to the band containing row zero), so the summed tile
-/// results are bit-identical to the whole-layer sequential execution.
-#[allow(clippy::too_many_arguments)]
-fn run_fused_conv_pool(
-    units: &Units,
-    input: &Tensor<i64>,
-    conv_layer: &SnnLayer,
-    pool_layer: &SnnLayer,
-    pool_step: &LayerProgram,
-    bands: &[RowBand],
-    group_size: usize,
-    time_steps: usize,
-    max_level: i64,
-    mode: ExecutionMode,
-    queue_capacity: usize,
-) -> Result<(Tensor<i64>, UnitStats, UnitStats)> {
-    let SnnLayer::Conv {
-        weight_codes,
-        bias_acc,
-        stride,
-        padding,
-        requant,
-    } = conv_layer
-    else {
-        return Err(AccelError::UnsupportedLayer {
-            layer: pool_step.index.saturating_sub(1),
-            context: "fused pair expects a convolution producer".to_string(),
-        });
-    };
-    let SnnLayer::Pool { kind, window } = pool_layer else {
-        return Err(AccelError::UnsupportedLayer {
-            layer: pool_step.index,
-            context: "fused pair expects a pooling consumer".to_string(),
-        });
-    };
-
-    let c_out = weight_codes.shape().dims()[0];
-    let in_h = input.shape().dims()[1];
-    let pool_dims = pool_step.out_shape.clone();
-    let (pool_h, pool_w) = (pool_dims[1], pool_dims[2]);
-    let mut pooled = Tensor::filled(pool_dims, 0i64);
-
-    // Queue items: (channel offset, pooled row offset, conv band levels).
-    let queue: BoundedQueue<(usize, usize, Tensor<i64>)> = BoundedQueue::new(queue_capacity);
-    let mut conv_work: Result<UnitStats> = Ok(UnitStats::default());
-    let mut pool_work: Result<UnitStats> = Ok(UnitStats::default());
-
-    thread::scope(|scope| {
-        let queue = &queue;
-        let producer = scope.spawn(move || {
-            let run = || -> Result<UnitStats> {
-                let mut work = UnitStats::default();
-                'bands: for band in bands {
-                    // Gather the band once; every channel group reuses it.
-                    let gathered;
-                    let band_input = if band.in_lo == 0 && band.in_hi == in_h {
-                        input
-                    } else {
-                        gathered = copy_row_band(input, band.in_lo, band.in_hi)?;
-                        &gathered
-                    };
-                    for lo in (0..c_out).step_by(group_size.max(1)) {
-                        let hi = (lo + group_size).min(c_out);
-                        let (levels, stats) = conv_band_group(
-                            units,
-                            band_input,
-                            weight_codes,
-                            bias_acc,
-                            lo,
-                            hi,
-                            time_steps,
-                            *stride,
-                            *padding,
-                            *requant,
-                            max_level,
-                            mode,
-                            band,
-                        )?;
-                        work += stats;
-                        if !queue.push((lo, band.out_lo / (*window).max(1), levels)) {
-                            break 'bands; // consumer closed after an error
-                        }
-                    }
-                }
-                Ok(work)
-            };
-            let result = run();
-            queue.finish();
-            result
-        });
-
-        // Pooling stage on the calling thread.
-        let consumed = (|| -> Result<UnitStats> {
-            let mut work = UnitStats::default();
-            while let Some((lo, row_lo, levels)) = queue.pop() {
-                let (chunk, stats) = pool_group(units, &levels, *kind, *window, time_steps, mode)?;
-                work += stats;
-                let c_dims = chunk.shape().dims();
-                let (g, bh) = (c_dims[0], c_dims[1]);
-                let src = chunk.as_slice();
-                let dst = pooled.as_mut_slice();
-                for c in 0..g {
-                    let plane = (lo + c) * pool_h * pool_w;
-                    dst[plane + row_lo * pool_w..plane + (row_lo + bh) * pool_w]
-                        .copy_from_slice(&src[c * bh * pool_w..(c + 1) * bh * pool_w]);
-                }
-            }
-            Ok(work)
-        })();
-        if consumed.is_err() {
-            queue.close();
-        }
-        pool_work = consumed;
-        conv_work = match producer.join() {
-            Ok(result) => result,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-    });
-
-    Ok((pooled, conv_work?, pool_work?))
-}
-
-/// Computes the convolution of one `(row band × channel group)` tile —
-/// output channels `lo..hi` over the band's output rows — and requantizes
-/// the accumulators to levels.
-#[allow(clippy::too_many_arguments)]
-fn conv_band_group(
-    units: &Units,
-    band_input: &Tensor<i64>,
-    weight_codes: &Tensor<i64>,
-    bias_acc: &Tensor<i64>,
-    lo: usize,
-    hi: usize,
-    time_steps: usize,
-    stride: usize,
-    padding: usize,
-    requant: Option<f32>,
-    max_level: i64,
-    mode: ExecutionMode,
-    band: &RowBand,
-) -> Result<(Tensor<i64>, UnitStats)> {
-    let k_dims = weight_codes.shape().dims();
-    let (c_in, kr, kc) = (k_dims[1], k_dims[2], k_dims[3]);
-    let per_channel = c_in * kr * kc;
-    let kernel = Tensor::from_vec(
-        vec![hi - lo, c_in, kr, kc],
-        weight_codes.as_slice()[lo * per_channel..hi * per_channel].to_vec(),
-    )
-    .map_err(AccelError::Tensor)?;
-    let bias = Tensor::from_vec(vec![hi - lo], bias_acc.as_slice()[lo..hi].to_vec())
-        .map_err(AccelError::Tensor)?;
-    let (accumulators, stats) = match mode {
-        ExecutionMode::CycleAccurate => {
-            let result = units.conv.run_layer_band(
-                band_input, &kernel, &bias, time_steps, stride, padding, band,
-            )?;
-            (result.accumulators, result.stats)
-        }
-        ExecutionMode::Transaction => (
-            ops::conv2d(band_input, &kernel, Some(&bias), stride, padding)
-                .map_err(AccelError::Tensor)?,
-            UnitStats::default(),
-        ),
-    };
-    Ok((apply_requant(&accumulators, requant, max_level), stats))
-}
-
-/// Pools one channel group.
-fn pool_group(
-    units: &Units,
-    levels: &Tensor<i64>,
-    kind: PoolKind,
-    window: usize,
-    time_steps: usize,
-    mode: ExecutionMode,
-) -> Result<(Tensor<i64>, UnitStats)> {
-    match mode {
-        ExecutionMode::CycleAccurate => {
-            let result = units.pool.run_layer(levels, kind, window, time_steps)?;
-            Ok((result.levels, result.stats))
-        }
-        ExecutionMode::Transaction => {
-            let pooled = match kind {
-                PoolKind::Average => ops::avg_pool2d(levels, window).map_err(AccelError::Tensor)?,
-                PoolKind::Max => ops::max_pool2d(levels, window).map_err(AccelError::Tensor)?,
-            };
-            Ok((pooled, UnitStats::default()))
-        }
-    }
-}
-
-pub(crate) fn apply_requant(
-    acc: &Tensor<i64>,
-    requant: Option<f32>,
-    max_level: i64,
-) -> Tensor<i64> {
+fn apply_requant(acc: &Tensor<i64>, requant: Option<f32>, max_level: i64) -> Tensor<i64> {
     match requant {
         Some(r) => acc.map(|&v| requantize(v, r, max_level)),
         None => acc.clone(),
     }
-}
-
-/// Functional (transaction-level) execution of one layer, shared with the
-/// integer reference model.
-pub(crate) fn functional_layer(
-    layer: &SnnLayer,
-    current: &Tensor<i64>,
-    max_level: i64,
-) -> Result<Tensor<i64>> {
-    let next = match layer {
-        SnnLayer::Conv {
-            weight_codes,
-            bias_acc,
-            stride,
-            padding,
-            requant,
-        } => {
-            let acc = ops::conv2d(current, weight_codes, Some(bias_acc), *stride, *padding)
-                .map_err(AccelError::Tensor)?;
-            apply_requant(&acc, *requant, max_level)
-        }
-        SnnLayer::Linear {
-            weight_codes,
-            bias_acc,
-            requant,
-        } => {
-            let acc =
-                ops::linear(current, weight_codes, Some(bias_acc)).map_err(AccelError::Tensor)?;
-            apply_requant(&acc, *requant, max_level)
-        }
-        SnnLayer::Pool { kind, window } => match kind {
-            PoolKind::Average => ops::avg_pool2d(current, *window).map_err(AccelError::Tensor)?,
-            PoolKind::Max => ops::max_pool2d(current, *window).map_err(AccelError::Tensor)?,
-        },
-        SnnLayer::Flatten => {
-            let volume = current.len();
-            current
-                .clone()
-                .reshape(vec![volume])
-                .map_err(AccelError::Tensor)?
-        }
-    };
-    Ok(next)
 }
 
 /// Derives the per-unit busy/idle cycle counters of one inference from the
@@ -821,7 +304,7 @@ pub(crate) fn functional_layer(
 /// and linear stages are single units occupied for their compute cycles.
 /// Flatten is a buffer transfer, not a processing unit, so it contributes
 /// only to the makespan.  Everything is derived from the compiled program,
-/// so sequential and pipelined executions report identical utilisation.
+/// so every inference of one program reports the same utilisation.
 pub fn utilisation_from_program(
     config: &AcceleratorConfig,
     program: &Program,
@@ -867,71 +350,4 @@ pub fn utilisation_from_program(
             total_cycles: makespan,
         },
     ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn bounded_queue_delivers_in_order_and_drains_on_finish() {
-        let queue: BoundedQueue<u32> = BoundedQueue::new(2);
-        assert!(queue.push(1));
-        assert!(queue.push(2));
-        queue.finish();
-        assert_eq!(queue.pop(), Some(1));
-        assert_eq!(queue.pop(), Some(2));
-        assert_eq!(queue.pop(), None);
-        assert_eq!(queue.pop(), None);
-    }
-
-    #[test]
-    fn bounded_queue_applies_backpressure() {
-        let queue: BoundedQueue<usize> = BoundedQueue::new(1);
-        let max_in_flight = AtomicUsize::new(0);
-        thread::scope(|scope| {
-            scope.spawn(|| {
-                for i in 0..50 {
-                    assert!(queue.push(i));
-                }
-                queue.finish();
-            });
-            let mut expected = 0;
-            while let Some(v) = queue.pop() {
-                assert_eq!(v, expected);
-                expected += 1;
-                max_in_flight.fetch_max(v, Ordering::Relaxed);
-            }
-            assert_eq!(expected, 50);
-        });
-    }
-
-    #[test]
-    fn closed_queue_rejects_pushes() {
-        let queue: BoundedQueue<u32> = BoundedQueue::new(1);
-        assert!(queue.push(7));
-        queue.close();
-        assert!(!queue.push(8));
-    }
-
-    #[test]
-    fn close_unblocks_a_waiting_producer() {
-        let queue: BoundedQueue<u32> = BoundedQueue::new(1);
-        assert!(queue.push(1)); // queue now full
-        thread::scope(|scope| {
-            let handle = scope.spawn(|| queue.push(2)); // blocks until close
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            queue.close();
-            assert!(!handle.join().unwrap());
-        });
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped_to_one() {
-        let queue: BoundedQueue<u32> = BoundedQueue::new(0);
-        assert!(queue.push(9));
-        queue.finish();
-        assert_eq!(queue.pop(), Some(9));
-    }
 }

@@ -22,7 +22,8 @@
 //! through the buffer pair in order.  The planner is halo-aware (a band's
 //! input rows include the `kernel - stride` rows shared with its
 //! neighbour), aligns convolution bands to a following pooling window so
-//! fused conv → pool pairs can stream tiles, and tiles fully-connected
+//! each band pools independently (as the chip's pooling unit consumes
+//! convolution output band by band), and tiles fully-connected
 //! layers into lane-aligned output chunks.  Budget accounting models the
 //! hardware representation: every activation element costs its `T`-bit
 //! radix code, so a tile of `e` elements occupies `ceil(e * T / 8)` bytes
@@ -253,6 +254,23 @@ impl PingPongBuffer {
         })
     }
 
+    /// Consumes the buffer and returns the activations the next layer
+    /// would read: the network output once the last layer has written.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccelError::InvalidConfig`] if no activations have been
+    /// written yet.
+    pub fn into_current(self) -> Result<Tensor<i64>> {
+        let side = match self.read_side {
+            PingPongSide::Ping => self.ping,
+            PingPongSide::Pong => self.pong,
+        };
+        side.ok_or_else(|| AccelError::InvalidConfig {
+            context: "activation buffer read before any layer wrote it".to_string(),
+        })
+    }
+
     /// Writes a layer result into the unused half and swaps, so the next
     /// layer reads what was just written.
     pub fn write_and_swap(&mut self, levels: Tensor<i64>) {
@@ -422,8 +440,8 @@ fn conv_band(
 ///
 /// Layers whose full input + output already fit get `None` (untiled).
 /// Convolution bands are rounded down to a multiple of a directly
-/// following pooling layer's window when possible, so the fused
-/// conv → pool execution path can stream the bands.  Flatten is a pure
+/// following pooling layer's window when possible, so each band pools
+/// independently, as on the chip.  Flatten is a pure
 /// element-wise buffer transfer and never needs tiling.  Fully-connected
 /// layers keep the whole input vector resident and chunk their outputs in
 /// multiples of `linear_lanes`.
@@ -471,8 +489,8 @@ pub fn plan_network_tiles(
                         required_bytes: band_bytes(1),
                         budget_bytes,
                     })?;
-                // Align to a directly following pooling window so the
-                // fused pair can pool each band independently.
+                // Align to a directly following pooling window so each
+                // band pools independently.
                 if let Some(LayerSpec::Pool { window, .. }) = net.layers().get(i + 1) {
                     if rows >= *window {
                         rows -= rows % *window;
@@ -657,12 +675,14 @@ mod tests {
         assert_eq!(buffer.read_side(), PingPongSide::Ping);
         assert_eq!(buffer.current().unwrap().as_slice(), &[3]);
         assert_eq!(buffer.handovers(), 2);
+        assert_eq!(buffer.into_current().unwrap().as_slice(), &[3]);
     }
 
     #[test]
     fn reading_an_empty_buffer_is_an_error() {
         let buffer = PingPongBuffer::new();
         assert!(buffer.current().is_err());
+        assert!(buffer.into_current().is_err());
     }
 
     #[test]
@@ -714,7 +734,7 @@ mod tests {
     #[test]
     fn conv_bands_align_to_a_following_pool_window() {
         // VGG-11 conv1 feeds 2x2 max pooling: tile heights must be even
-        // so the fused pair can stream the bands.
+        // so each band pools independently.
         let net = zoo::vgg11(10);
         let plan = plan_network_tiles(&net, 4, 8 * 1024, 32).unwrap();
         assert!(plan.is_tiled());

@@ -27,8 +27,8 @@ pub struct LayerExecution {
 }
 
 /// Modelled busy/idle occupancy of one kind of processing unit over an
-/// inference, derived from the static schedule (so it is identical for the
-/// sequential and pipelined execution paths).
+/// inference, derived from the static schedule (so it is identical for
+/// every inference of one compiled program).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UnitUtilisation {
     /// Which processing stage the figure describes.
@@ -71,8 +71,8 @@ pub struct RunReport {
     /// Aggregate memory traffic.
     pub traffic: MemoryTraffic,
     /// Effective host thread budget the execution drew from (the global
-    /// [`snn_parallel::ThreadBudget`], shared by batch workers, channel
-    /// parallelism and pipeline stage threads) — **not** a per-call thread
+    /// [`snn_parallel::ThreadBudget`], shared by batch workers and channel
+    /// parallelism) — **not** a per-call thread
     /// count, so oversubscription regressions show up in bench output.
     pub thread_budget: usize,
     /// Modelled per-unit busy/idle occupancy over this inference.

@@ -6,8 +6,8 @@
 //! submission queue and a dispatcher thread that drains it into
 //! micro-batches of up to [`ServerOptions::max_batch`] inputs, executing
 //! each batch over its slice of the shared worker pool — compiling once at
-//! start-up instead of per call, and (by default) serving on the
-//! **bit-plane sparse engine**.  In front of the replicas sits a
+//! start-up instead of per call, and serving on the **bit-plane sparse
+//! engine**.  In front of the replicas sits a
 //! `router::Router` that places every submission by live per-replica
 //! queue snapshots: least depth first, recent drain rate as the tiebreak,
 //! sticky fallback when no snapshot is fresh.  Every report a client
@@ -15,15 +15,14 @@
 //! [`crate::sim::Accelerator`] call **regardless of the replica count**
 //! (pinned by property tests).
 //!
-//! All parallelism — batch workers, per-layer channel fan-out and pipeline
-//! stage threads — draws from the single global
-//! [`snn_parallel::ThreadBudget`], partitioned evenly between the
-//! replicas, so a server under heavy traffic cannot oversubscribe the
-//! host.  [`StreamServer::stats`] aggregates the per-replica counters
-//! (completed inferences, micro-batch sizes, wall-clock throughput,
-//! modelled per-unit utilisation) into one [`ServerStats`] view that also
-//! carries the per-replica slices; the end-to-end benchmark records these
-//! in `BENCH_serve.json`.
+//! All parallelism — batch workers and per-layer channel fan-out — draws
+//! from the single global [`snn_parallel::ThreadBudget`], partitioned
+//! evenly between the replicas, so a server under heavy traffic cannot
+//! oversubscribe the host.  [`StreamServer::stats`] aggregates the
+//! per-replica counters (completed inferences, micro-batch sizes,
+//! wall-clock throughput, modelled per-unit utilisation) into one
+//! [`ServerStats`] view that also carries the per-replica slices; the
+//! end-to-end benchmark records these in `BENCH_serve.json`.
 //!
 //! # Admission policy
 //!
@@ -80,7 +79,7 @@ pub use stats::{
 };
 
 use crate::config::AcceleratorConfig;
-use crate::exec::{utilisation_from_program, ExecOptions, ExecutionMode};
+use crate::exec::utilisation_from_program;
 use crate::report::RunReport;
 use crate::sim::Accelerator;
 use crate::{AccelError, Result};
@@ -101,17 +100,6 @@ pub struct ServerOptions {
     /// Maximum number of queued inputs drained into one micro-batch (per
     /// replica).
     pub max_batch: usize,
-    /// At which level of detail inferences execute.  The default is
-    /// [`ExecutionMode::CycleAccurate`]: the sparse engine is the faster
-    /// serving path *and* reports exact unit work; pick
-    /// [`ExecutionMode::Transaction`] to serve the functional model with
-    /// analytical timing only.
-    pub mode: ExecutionMode,
-    /// Execution-engine options applied to every inference.  The engine's
-    /// [`ExecOptions::thread_cap`] is set per replica to its share of the
-    /// global thread budget; the value given here is used for compilation
-    /// and as the base the per-replica cap overlays.
-    pub exec: ExecOptions,
     /// Maximum undispatched submissions **each replica's** queue holds
     /// before it refuses placements; when every healthy replica is full,
     /// [`StreamServer::submit`] rejects with [`AccelError::QueueFull`]
@@ -156,8 +144,6 @@ impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             max_batch: 8,
-            mode: ExecutionMode::CycleAccurate,
-            exec: ExecOptions::default(),
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             max_queue_wait: None,
             replicas: 1,
@@ -315,7 +301,7 @@ impl StreamServer {
                     .to_string(),
             });
         }
-        let accel = Accelerator::with_options(config, options.exec);
+        let accel = Accelerator::new(config);
         let program = accel.compile(&model)?;
         let engine = Arc::new(EngineShared {
             accel,
@@ -766,27 +752,6 @@ mod tests {
                 assert!(context.contains("ServerOptions"), "context: {context}");
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn transaction_mode_matches_run_fast() {
-        let (model, inputs) = tiny_setup(3);
-        let config = AcceleratorConfig::default();
-        let server = StreamServer::start_with(
-            config,
-            model.clone(),
-            ServerOptions {
-                mode: ExecutionMode::Transaction,
-                ..ServerOptions::default()
-            },
-        )
-        .unwrap();
-        let served = server.run_all(&inputs).unwrap();
-        let accel = Accelerator::new(config);
-        for (report, input) in served.iter().zip(&inputs) {
-            let solo = accel.run_fast(&model, input).unwrap();
-            assert_eq!(report, &solo);
         }
     }
 

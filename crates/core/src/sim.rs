@@ -1,49 +1,35 @@
 //! Top-level accelerator simulator.
 //!
 //! [`Accelerator`] owns a configuration, compiles converted SNN models onto
-//! it and executes inferences through the pipelined execution engine in
-//! [`crate::exec`].  Two levels of detail are provided:
+//! it and executes inferences through the layer loop in [`crate::exec`].
+//! [`Accelerator::run`] is **unit-exact**: every layer is executed on the
+//! bit-plane sparse processing-unit models
+//! ([`crate::conv::ConvolutionUnit`], [`crate::pool::PoolingUnit`],
+//! [`crate::linear::LinearUnit`]), activations move through the ping-pong
+//! buffers, and exact work/operation counts are reported.  The units
+//! traverse packed spike planes (word-level skip of silent regions, output
+//! channels spread over the shared worker pool) and *derive* their counters
+//! analytically from the static schedule plus plane popcounts; property
+//! tests pin both accumulators and counters to the retained
+//! counter-stepped models in [`crate::reference`], and the logits to the
+//! functional model [`SnnModel::forward`].
 //!
-//! * [`Accelerator::run`] — **unit-exact**: every layer is executed on the
-//!   bit-plane sparse processing-unit models
-//!   ([`crate::conv::ConvolutionUnit`], [`crate::pool::PoolingUnit`],
-//!   [`crate::linear::LinearUnit`]), activations move through the ping-pong
-//!   buffers, and exact work/operation counts are reported.  The units
-//!   traverse packed spike planes (word-level skip of silent regions,
-//!   output channels spread over the shared worker pool) and *derive* their
-//!   counters analytically from the static schedule plus plane popcounts;
-//!   property tests pin both accumulators and counters to the retained
-//!   counter-stepped models in [`crate::reference`].
-//! * [`Accelerator::run_fast`] — **transaction-level**: activations are
-//!   computed with the functional integer model of `snn-model` and only the
-//!   analytical timing model is evaluated.  The results are bit-identical
-//!   (asserted by tests); use this when unit-level operation counts are not
-//!   needed.
-//!
-//! Depth no longer limits the unit-exact path: with
+//! Depth does not limit the unit-exact path: with
 //! [`AcceleratorConfig::activation_buffer_bytes`] set, the compiler plans
 //! row-band tiles ([`crate::memory::plan_network_tiles`]) and
 //! [`Accelerator::run`] executes full-scale VGG-11 within a paper-scale
 //! on-chip budget, tile by tile, with an unchanged (bit-identical) report.
 //!
-//! By default both paths execute **pipelined**: adjacent convolution →
-//! pooling layers overlap through bounded stage queues, drawing stage
-//! threads from the global [`snn_parallel::ThreadBudget`].  The strictly
-//! sequential layer loop remains available as the verification oracle via
-//! [`Accelerator::run_sequential`] / [`Accelerator::run_fast_sequential`]
-//! (or `ExecOptions { pipeline: false, .. }`); property tests pin the
-//! pipelined reports bit-identical to it.
-//!
 //! Batches of independent inputs can be dispatched over the worker pool
-//! with [`Accelerator::run_batch`] / [`Accelerator::run_fast_batch`]; each
-//! input produces exactly the report a solo [`Accelerator::run`] would.
-//! For a continuously fed submission queue with micro-batching, see
-//! [`crate::serve::StreamServer`].
+//! with [`Accelerator::run_batch`]; each input produces exactly the report
+//! a solo [`Accelerator::run`] would.  For a continuously fed submission
+//! queue with micro-batching, see [`crate::serve::StreamServer`].  All
+//! three share one execution path.
 
 use crate::compiler::{self, Program};
 use crate::config::AcceleratorConfig;
 use crate::cost;
-use crate::exec::{self, ExecOptions, ExecutionMode};
+use crate::exec;
 use crate::report::{DesignReport, RunReport};
 use crate::timing;
 use crate::Result;
@@ -55,32 +41,17 @@ use snn_tensor::Tensor;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Accelerator {
     config: AcceleratorConfig,
-    options: ExecOptions,
 }
 
 impl Accelerator {
-    /// Creates an accelerator with the given configuration and default
-    /// execution options (pipelining enabled).
+    /// Creates an accelerator with the given configuration.
     pub fn new(config: AcceleratorConfig) -> Self {
-        Accelerator {
-            config,
-            options: ExecOptions::default(),
-        }
-    }
-
-    /// Creates an accelerator with explicit execution options.
-    pub fn with_options(config: AcceleratorConfig, options: ExecOptions) -> Self {
-        Accelerator { config, options }
+        Accelerator { config }
     }
 
     /// The configuration.
     pub fn config(&self) -> &AcceleratorConfig {
         &self.config
-    }
-
-    /// The execution options.
-    pub fn options(&self) -> ExecOptions {
-        self.options
     }
 
     /// Compiles a model onto this accelerator.
@@ -110,8 +81,7 @@ impl Accelerator {
         })
     }
 
-    /// Runs one inference unit-exactly on the processing-unit models,
-    /// pipelining adjacent stages where the thread budget allows.
+    /// Runs one inference unit-exactly on the processing-unit models.
     ///
     /// # Errors
     ///
@@ -119,66 +89,18 @@ impl Accelerator {
     /// configuration or the input shape does not match the network.
     pub fn run(&self, model: &SnnModel, input: &Tensor<f32>) -> Result<RunReport> {
         let program = self.compile(model)?;
-        self.execute_compiled(
-            model,
-            &program,
-            input,
-            ExecutionMode::CycleAccurate,
-            self.options,
-        )
+        self.execute_compiled(model, &program, input)
     }
 
-    /// Runs one inference at transaction level: functional values plus the
-    /// analytical timing model.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the model cannot be mapped onto the
-    /// configuration or the input shape does not match the network.
-    pub fn run_fast(&self, model: &SnnModel, input: &Tensor<f32>) -> Result<RunReport> {
-        let program = self.compile(model)?;
-        self.execute_compiled(
-            model,
-            &program,
-            input,
-            ExecutionMode::Transaction,
-            self.options,
-        )
-    }
-
-    /// The strictly sequential layer loop — the verification oracle the
-    /// pipelined [`Accelerator::run`] is pinned bit-identical to.
+    /// The same call as [`Accelerator::run`]: the layer loop is sequential,
+    /// so there is no other path to select.  Kept because the repository
+    /// benchmark times it under its own name.
     ///
     /// # Errors
     ///
     /// See [`Accelerator::run`].
     pub fn run_sequential(&self, model: &SnnModel, input: &Tensor<f32>) -> Result<RunReport> {
-        let program = self.compile(model)?;
-        let options = ExecOptions {
-            pipeline: false,
-            ..self.options
-        };
-        self.execute_compiled(
-            model,
-            &program,
-            input,
-            ExecutionMode::CycleAccurate,
-            options,
-        )
-    }
-
-    /// Sequential oracle for [`Accelerator::run_fast`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Accelerator::run_fast`].
-    pub fn run_fast_sequential(&self, model: &SnnModel, input: &Tensor<f32>) -> Result<RunReport> {
-        let program = self.compile(model)?;
-        let options = ExecOptions {
-            pipeline: false,
-            ..self.options
-        };
-        self.execute_compiled(model, &program, input, ExecutionMode::Transaction, options)
+        self.run(model, input)
     }
 
     /// Runs one inference per input, unit-exact, spreading the batch over
@@ -191,53 +113,29 @@ impl Accelerator {
     /// model); remaining inputs are still processed but their reports are
     /// discarded.
     pub fn run_batch(&self, model: &SnnModel, inputs: &[Tensor<f32>]) -> Result<Vec<RunReport>> {
-        self.execute_batch(model, inputs, ExecutionMode::CycleAccurate)
-    }
-
-    /// Transaction-level variant of [`Accelerator::run_batch`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Accelerator::run_batch`].
-    pub fn run_fast_batch(
-        &self,
-        model: &SnnModel,
-        inputs: &[Tensor<f32>],
-    ) -> Result<Vec<RunReport>> {
-        self.execute_batch(model, inputs, ExecutionMode::Transaction)
-    }
-
-    fn execute_batch(
-        &self,
-        model: &SnnModel,
-        inputs: &[Tensor<f32>],
-        mode: ExecutionMode,
-    ) -> Result<Vec<RunReport>> {
         let program = self.compile(model)?;
         // Batch workers and per-layer channel parallelism all draw from the
         // same global budget — the pool bounds their combined concurrency,
-        // so batch x channels no longer multiplies thread counts (pipeline
-        // stage threads add at most budget - 1 more via leases).
+        // so batch x channels never multiplies thread counts.
         let threads = snn_parallel::budget().total().min(inputs.len().max(1));
         snn_parallel::par_map(inputs, threads, |_, input| {
-            self.execute_compiled(model, &program, input, mode, self.options)
+            self.execute_compiled(model, &program, input)
         })
         .into_iter()
         .collect()
     }
 
     /// Encodes one input and executes it over an already-compiled program
-    /// (shared by the batch paths and [`crate::serve::StreamServer`]).
+    /// (shared by [`Accelerator::run`], the batch path and
+    /// [`crate::serve::StreamServer`]).
     pub(crate) fn execute_compiled(
         &self,
         model: &SnnModel,
         program: &Program,
         input: &Tensor<f32>,
-        mode: ExecutionMode,
-        options: ExecOptions,
     ) -> Result<RunReport> {
         let levels = model.encode_input(input)?;
-        exec::execute(&self.config, model, program, levels, mode, options)
+        exec::execute(&self.config, model, program, levels)
     }
 }
 
@@ -283,38 +181,6 @@ mod tests {
             let trace = model.forward(input).unwrap();
             assert_eq!(report.logits, trace.logits().as_slice());
             assert_eq!(report.prediction, trace.predicted_class());
-        }
-    }
-
-    #[test]
-    fn fast_and_cycle_accurate_runs_agree() {
-        let (model, inputs) = tiny_setup(3);
-        let accel = Accelerator::new(AcceleratorConfig::default());
-        for input in &inputs {
-            let detailed = accel.run(&model, input).unwrap();
-            let fast = accel.run_fast(&model, input).unwrap();
-            assert_eq!(detailed.logits, fast.logits);
-            assert_eq!(detailed.total_cycles(), fast.total_cycles());
-        }
-    }
-
-    #[test]
-    fn pipelined_and_sequential_paths_are_bit_identical() {
-        // Force channel grouping so the fused conv -> pool pair actually
-        // pipelines (one narrow unit -> several sequential groups).
-        let (model, inputs) = tiny_setup(4);
-        let config = AcceleratorConfig {
-            conv_units: 1,
-            ..AcceleratorConfig::default()
-        };
-        let accel = Accelerator::new(config);
-        for input in &inputs {
-            let pipelined = accel.run(&model, input).unwrap();
-            let sequential = accel.run_sequential(&model, input).unwrap();
-            assert_eq!(pipelined, sequential);
-            let fast = accel.run_fast(&model, input).unwrap();
-            let fast_sequential = accel.run_fast_sequential(&model, input).unwrap();
-            assert_eq!(fast, fast_sequential);
         }
     }
 
@@ -372,7 +238,7 @@ mod tests {
             ..AcceleratorConfig::default()
         };
         let accel = Accelerator::new(config);
-        let report = accel.run_fast(&model, &inputs[0]).unwrap();
+        let report = accel.run(&model, &inputs[0]).unwrap();
         assert_eq!(
             report.traffic.dram_bits,
             model.spec().parameter_count() as u64 * 3
@@ -407,10 +273,6 @@ mod tests {
         for (report, input) in batch.iter().zip(&inputs) {
             let solo = accel.run(&model, input).unwrap();
             assert_eq!(report, &solo);
-        }
-        let fast_batch = accel.run_fast_batch(&model, &inputs).unwrap();
-        for (fast, detailed) in fast_batch.iter().zip(&batch) {
-            assert_eq!(fast.logits, detailed.logits);
         }
     }
 

@@ -117,7 +117,7 @@ pub fn channels_per_conv_unit(config: &AcceleratorConfig, w_out: usize) -> usize
 /// `ceil(straggler_channels / channels_per_unit)` units compute and the
 /// rest idle, which [`ConvGroupPlan::busy_unit_cycles`] and
 /// [`ConvGroupPlan::unit_utilisation`] now model.  This is what makes the
-/// pipelined executor's per-unit utilisation reports honest at uneven
+/// execution engine's per-unit utilisation reports honest at uneven
 /// splits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConvGroupPlan {

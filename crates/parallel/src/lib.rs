@@ -1,9 +1,8 @@
 //! # snn-parallel
 //!
 //! A persistent worker pool with a global thread budget, used to
-//! parallelize output channels inside the processing-unit simulators,
-//! batches of inferences in the top-level simulator, and the stage threads
-//! of the pipelined execution engine.
+//! parallelize output channels inside the processing-unit simulators and
+//! batches of inferences in the top-level simulator.
 //!
 //! The container this workspace builds in has no registry access, so rayon
 //! cannot be used.  Earlier revisions spawned scoped threads on every
@@ -15,10 +14,10 @@
 //! * **[`ThreadBudget`]** — one process-global budget (see [`budget`])
 //!   decides how many threads the whole simulator may keep busy.  It is
 //!   read once from the `SNN_THREADS` environment variable, falling back to
-//!   the machine's available parallelism (with a floor of two so pipelined
-//!   stage overlap is possible even on single-core hosts — stage threads
-//!   block on bounded queues, so two threads on one core interleave
-//!   safely).
+//!   the machine's available parallelism with a floor of two (on a
+//!   single-core host, splitting data-parallel loops in two measured
+//!   slightly faster than the old per-call scoped spawns in
+//!   `BENCH_conv.json`).
 //! * **Persistent worker pool** — `total - 1` workers are spawned lazily on
 //!   first use and live for the rest of the process.  [`par_map`] and
 //!   [`par_chunks_mut`] split their input into blocks and submit them as
@@ -26,14 +25,6 @@
 //!   queued tasks while it waits, so pool-side compute concurrency never
 //!   exceeds the budget no matter how deeply calls nest — a batch worker
 //!   that fans out over channels draws from the same queue it runs on.
-//! * **Stage leases** — pipeline stage threads (which spend part of their
-//!   life blocked on bounded queues) must not run *as* pool tasks or a
-//!   full pool could deadlock them against their consumers; instead they
-//!   reserve a [`StageLease`] from the budget and spawn a scoped thread.
-//!   At most `total - 1` leases exist at any time, so worst-case host
-//!   concurrency is bounded by `2 * total - 1` threads (pool + stages) —
-//!   a fixed bound, unlike the earlier `batch x channels` multiplication
-//!   that grew with the workload.
 //! * **IO leases** — long-lived IO-bound threads (the `snn-net` reactor,
 //!   which parks in `poll(2)` over every connection; serving dispatchers)
 //!   spend their life blocked on descriptors and only *submit* compute
@@ -89,13 +80,12 @@ pub const IO_LEASE_FACTOR: usize = 4;
 // Thread budget
 // ---------------------------------------------------------------------------
 
-/// The process-global thread budget: how many threads the simulator may
-/// keep busy in total, shared between the worker pool (data parallelism)
-/// and leased pipeline stage threads (layer overlap).
+/// The process-global thread budget: how many threads the simulator's
+/// worker pool may keep busy in total, plus the IO-thread leases drawn
+/// against it.
 #[derive(Debug)]
 pub struct ThreadBudget {
     total: usize,
-    stage_leases: AtomicUsize,
     io_leases: AtomicUsize,
 }
 
@@ -106,7 +96,6 @@ impl ThreadBudget {
     pub fn new(total: usize) -> Self {
         ThreadBudget {
             total: total.clamp(1, MAX_THREADS),
-            stage_leases: AtomicUsize::new(0),
             io_leases: AtomicUsize::new(0),
         }
     }
@@ -122,41 +111,16 @@ impl ThreadBudget {
         let cores = thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1);
-        // Floor of two: the pipelined executor needs a second context to
-        // overlap stages, and stage threads block on bounded queues, so
-        // this never busy-spins a single core.  It also means single-core
-        // hosts split data-parallel loops in two; measured on the 1-core
-        // bench container this is slightly *faster* than the old per-call
-        // scoped spawns (BENCH_conv.json), and `SNN_THREADS=1` restores
-        // strictly sequential execution.
+        // Floor of two: single-core hosts split data-parallel loops in
+        // two, which measured slightly *faster* on a 1-core host than the
+        // old per-call scoped spawns (BENCH_conv.json).  `SNN_THREADS=1`
+        // restores strictly sequential execution.
         ThreadBudget::new(cores.max(2))
     }
 
     /// Total number of threads this budget allows.
     pub fn total(&self) -> usize {
         self.total
-    }
-
-    /// Number of stage-thread leases currently outstanding.
-    pub fn stage_leases_in_flight(&self) -> usize {
-        self.stage_leases.load(Ordering::Acquire)
-    }
-
-    /// Tries to reserve `want` extra threads for pipeline stages.
-    ///
-    /// Grants all-or-nothing; at most `total - 1` stage threads can be
-    /// leased at any time (the calling thread itself is the other stage).
-    /// Returns `None` when the budget is exhausted — callers fall back to
-    /// sequential execution, which is always bit-identical.
-    pub fn try_lease_stage_threads(&self, want: usize) -> Option<StageLease<'_>> {
-        let cap = self.total.saturating_sub(1);
-        if !try_reserve(&self.stage_leases, cap, want) {
-            return None;
-        }
-        Some(StageLease {
-            budget: self,
-            threads: want,
-        })
     }
 
     /// Number of IO-thread leases currently outstanding.
@@ -210,28 +174,6 @@ fn try_reserve(counter: &AtomicUsize, cap: usize, want: usize) -> bool {
             Ok(_) => return true,
             Err(observed) => current = observed,
         }
-    }
-}
-
-/// A reservation of pipeline stage threads, returned to the budget on drop.
-#[derive(Debug)]
-pub struct StageLease<'a> {
-    budget: &'a ThreadBudget,
-    threads: usize,
-}
-
-impl StageLease<'_> {
-    /// Number of stage threads this lease grants.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl Drop for StageLease<'_> {
-    fn drop(&mut self) {
-        self.budget
-            .stage_leases
-            .fetch_sub(self.threads, Ordering::AcqRel);
     }
 }
 
@@ -417,8 +359,7 @@ fn erase_lifetime<'env>(task: Task<'env>) -> Job {
 /// queued tasks itself (its own or other callers'), so concurrency stays
 /// within the global [`ThreadBudget`] even when `run_tasks` calls nest —
 /// e.g. a batch task that fans out over output channels.  Tasks must not
-/// block on anything except their own nested `run_tasks` calls; stage
-/// threads that block on queues take a [`StageLease`] instead.
+/// block on anything except their own nested `run_tasks` calls.
 ///
 /// If a task panics, the panic is re-raised on the calling thread after all
 /// tasks of this call have settled.
@@ -698,40 +639,9 @@ mod tests {
     }
 
     #[test]
-    fn stage_leases_are_bounded_and_returned() {
-        let budget = ThreadBudget::new(3);
-        assert_eq!(budget.total(), 3);
-        let first = budget.try_lease_stage_threads(1).expect("first lease");
-        let second = budget.try_lease_stage_threads(1).expect("second lease");
-        // Cap is total - 1 = 2.
-        assert!(budget.try_lease_stage_threads(1).is_none());
-        assert_eq!(budget.stage_leases_in_flight(), 2);
-        drop(first);
-        assert_eq!(budget.stage_leases_in_flight(), 1);
-        let third = budget.try_lease_stage_threads(1).expect("slot freed");
-        assert_eq!(third.threads(), 1);
-        drop(third);
-        drop(second);
-        assert_eq!(budget.stage_leases_in_flight(), 0);
-    }
-
-    #[test]
-    fn lease_requests_are_all_or_nothing() {
-        let budget = ThreadBudget::new(4); // cap 3
-        let wide = budget.try_lease_stage_threads(3).expect("wide lease");
-        assert!(budget.try_lease_stage_threads(1).is_none());
-        drop(wide);
-        assert!(budget.try_lease_stage_threads(4).is_none()); // over cap
-        assert!(budget.try_lease_stage_threads(3).is_some());
-    }
-
-    #[test]
-    fn io_leases_are_bounded_independently_of_stage_leases() {
+    fn io_leases_are_bounded_and_returned() {
         let budget = ThreadBudget::new(2);
         assert_eq!(budget.io_lease_cap(), 2 * IO_LEASE_FACTOR);
-        // Exhaust the stage-lease cap; IO leases are still available.
-        let stage = budget.try_lease_stage_threads(1).expect("stage lease");
-        assert!(budget.try_lease_stage_threads(1).is_none());
         let mut held = Vec::new();
         for _ in 0..budget.io_lease_cap() {
             held.push(budget.try_lease_io_threads(1).expect("io lease"));
@@ -742,9 +652,7 @@ mod tests {
         held.pop();
         assert!(budget.try_lease_io_threads(1).is_some());
         drop(held);
-        drop(stage);
         assert_eq!(budget.io_leases_in_flight(), 0);
-        assert_eq!(budget.stage_leases_in_flight(), 0);
     }
 
     #[test]
@@ -763,15 +671,14 @@ mod tests {
     fn budget_clamps_to_supported_range() {
         assert_eq!(ThreadBudget::new(0).total(), 1);
         assert_eq!(ThreadBudget::new(1000).total(), MAX_THREADS);
-        // A single-thread budget grants no stage leases at all.
-        assert!(ThreadBudget::new(1).try_lease_stage_threads(1).is_none());
     }
 
     #[test]
-    fn global_budget_allows_stage_overlap() {
-        // The global budget has a floor of two, so the pipelined executor
-        // can always overlap at least one stage pair (unless leases are
-        // already out, which other tests release by then).
-        assert!(budget().total() >= 2);
+    fn global_budget_has_a_floor_of_two() {
+        // Unless `SNN_THREADS` pins it lower, the global budget splits
+        // data-parallel loops in two even on a single-core host.
+        if std::env::var(THREADS_ENV).is_err() {
+            assert!(budget().total() >= 2);
+        }
     }
 }
