@@ -1,12 +1,12 @@
 //! Multi-connection loopback load generator for the `snn-net` TCP
 //! front-end: measures end-to-end serving throughput and latency
-//! percentiles **at the system boundary** — sockets, framing, the single
-//! reactor and the micro-batching server included — and writes
-//! `BENCH_net.json` at the workspace root so the network-serving
+//! percentiles **at the system boundary** — sockets, framing, the
+//! reactor shards and the micro-batching server included — and writes
+//! `BENCH_net.json` to the current directory so the network-serving
 //! trajectory is tracked PR over PR alongside `BENCH_conv.json` and
 //! `BENCH_serve.json`.
 //!
-//! Five phases:
+//! Four phases:
 //!
 //! 1. **Latency probe** — one connection streams sequential LeNet
 //!    inferences; per-request wall-clock latencies give p50/p99 (the
@@ -24,10 +24,7 @@
 //!    and the generator's own send-lag/jitter so scheduling noise is
 //!    separable from server saturation.  Each point drains the trace ring
 //!    for its own per-phase percentiles.
-//! 4. **Backend comparison** — the same closed-loop load at 256
-//!    connections against a fresh epoll server and a fresh `poll(2)`
-//!    fallback server; the summary records both rates side by side.
-//! 5. **Backpressure** — a burst against a one-slot queue forces the
+//! 4. **Backpressure** — a burst against a one-slot queue forces the
 //!    admission policy to shed load; the summary records how many REJECTED
 //!    frames came back and a sample retry-after hint, proving the hint
 //!    path end to end.
@@ -40,7 +37,7 @@ use snn_model::convert::{convert, CalibrationStats, ConversionConfig};
 use snn_model::params::Parameters;
 use snn_model::snn::SnnModel;
 use snn_model::zoo;
-use snn_net::{scrape_traces, NetClient, NetError, NetOptions, NetServer, ReactorBackend};
+use snn_net::{scrape_traces, NetClient, NetError, NetOptions, NetServer};
 use snn_telemetry::{Phase, RequestTrace};
 use snn_tensor::Tensor;
 use std::time::{Duration, Instant};
@@ -280,40 +277,7 @@ fn main() {
         "the reactor must hold {connections} concurrent connections without shedding"
     );
 
-    // Phase 4: the same closed-loop load at 256 connections on both
-    // readiness backends — the headline epoll-vs-poll comparison.  Fresh
-    // servers so neither inherits the other's warmup.
-    let comparison_connections = 256usize.min(
-        std::env::var("SNN_BENCH_COMPARE_CONNECTIONS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(256),
-    );
-    let mut backend_ips = Vec::new();
-    for backend in [ReactorBackend::Epoll, ReactorBackend::Poll] {
-        let compare = NetServer::bind(
-            "127.0.0.1:0",
-            config,
-            model.clone(),
-            NetOptions {
-                backend,
-                max_connections: comparison_connections.max(256),
-                ..NetOptions::default()
-            },
-        )
-        .expect("bind comparison server");
-        let compare_addr = compare.local_addr();
-        let mut warm = NetClient::connect(compare_addr).expect("comparison warmup");
-        warm.infer(&inputs[0]).expect("comparison warmup inference");
-        drop(warm);
-        let (_, rate) = closed_loop_ips(compare_addr, comparison_connections, 2, &inputs);
-        let name = compare.stats().per_reactor[0].backend;
-        compare.shutdown();
-        println!("backend comparison: {name} serves {rate:.1} inf/s at {comparison_connections} connections");
-        backend_ips.push((name, rate));
-    }
-
-    // Phase 5: forced backpressure against a one-slot queue.
+    // Phase 4: forced backpressure against a one-slot queue.
     let tight = NetServer::bind(
         "127.0.0.1:0",
         config,
@@ -389,10 +353,6 @@ fn main() {
             )
         })
         .collect();
-    let backend_throughput: Vec<String> = backend_ips
-        .iter()
-        .map(|(name, rate)| format!("\"{name}_ips\": {rate:.2}"))
-        .collect();
     let json = format!(
         "{{\n\
          \"workload\": \"lenet5_T4_tcp_loopback\",\n\
@@ -401,30 +361,22 @@ fn main() {
          \"requests\": {total_requests},\n\
          \"thread_budget\": {},\n\
          \"reactors\": {},\n\
-         \"reactor_backend\": \"{}\",\n\
          \"inferences_per_sec\": {{\"tcp_loopback\": {ips:.2}}},\n\
          \"latency\": {{\"p50_us\": {p50_us:.1}, \"p99_us\": {p99_us:.1}, \
          \"mean_us\": {mean_us:.1}}},\n\
          \"trace_phase_latency\": {phase_latency},\n\
          \"open_loop\": {{\"connections\": {openloop_connections}, {}}},\n\
-         \"backend_throughput_256conn\": {{{}}},\n\
          \"backpressure\": {{\"burst_requests\": {}, \"rejections\": {rejections}, \
          \"retry_hint_sample\": {hint_ms}}},\n\
          \"unit_utilisation\": {{{}}}\n\
          }}\n",
         stats.server.thread_budget,
         stats.reactors,
-        stats
-            .per_reactor
-            .first()
-            .map(|r| r.backend)
-            .unwrap_or("unknown"),
         open_loop_sections.join(", "),
-        backend_throughput.join(", "),
         BURST_CONNECTIONS * BURST_REQUESTS,
         utilisation.join(", ")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json");
+    let path = "BENCH_net.json";
     std::fs::write(path, &json).expect("write BENCH_net.json");
     println!("wrote {path}");
 }

@@ -1,7 +1,7 @@
 //! Standalone replica-sweep serving benchmark: runs the
 //! [`snn_bench::serve_sweep`] scenario (naive `run` baseline, then
 //! the streaming server at 1, 2 and 4 replica engines) and writes
-//! `BENCH_serve.json` at the workspace root — the same schema the
+//! `BENCH_serve.json` to the current directory — the same schema the
 //! `end_to_end` criterion harness produces, minus the criterion `results`
 //! rows (written as an empty array so `bench_trend` parses either file).
 //!
@@ -15,7 +15,7 @@ use snn_bench::serve_sweep;
 fn main() {
     let body = serve_sweep::sweep_body();
     let json = format!("{{\n{body},\n\"results\": []\n}}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
+    let path = "BENCH_serve.json";
     std::fs::write(path, &json).expect("write BENCH_serve.json");
     println!("wrote {path}");
 }

@@ -185,15 +185,7 @@ fn main() {
     }
     if let Some(server) = server {
         let stats = server.shutdown();
-        json.push_str(&format!(
-            ",\n\"reactors\": {},\n\"reactor_backend\": \"{}\"",
-            stats.reactors,
-            stats
-                .per_reactor
-                .first()
-                .map(|r| r.backend)
-                .unwrap_or("unknown"),
-        ));
+        json.push_str(&format!(",\n\"reactors\": {}", stats.reactors));
     }
     json.push_str("\n}\n");
 

@@ -207,7 +207,7 @@ pub struct Completion {
 /// [`StreamServer::submit_tagged`], clonable) and the receiver the caller
 /// drains.  When a tagged inference settles, the dispatcher pushes a
 /// [`Completion`] into the channel **and then** invokes the waker — so a
-/// reactor blocked in `poll(2)` can use the waker to write one byte into a
+/// reactor blocked in `epoll_wait(2)` can use the waker to write one byte into a
 /// wake pipe and is guaranteed to observe the completion after waking.  No
 /// thread ever blocks on a reply channel.
 #[derive(Clone)]

@@ -14,19 +14,21 @@
 //!
 //! * **Short reads/writes** — one byte instead of a burst; the incremental
 //!   frame decoder and the write queue must reassemble.
-//! * **`EAGAIN` storms** — spurious `WouldBlock` on a ready socket; the
-//!   level-triggered poll re-reports readiness next round.
+//! * **`EAGAIN` storms** — spurious `WouldBlock` on a ready socket; no
+//!   new edge will fire for it, so the reactor marks the connection hot
+//!   (`fault_blocked`) and re-serves it next iteration.
 //! * **`EINTR`** — spurious `Interrupted`; the I/O loops retry in place.
 //! * **`ECONNRESET`** — the connection dies; *that* connection's requests
 //!   fail, every other connection and the server itself keep serving.
-//! * **Delayed readiness** — [`crate::sys::poll_fds`] reports a timeout
-//!   without consulting the kernel (also models `EINTR` at the poll site).
+//! * **Delayed readiness** — [`crate::sys::Epoll::wait`] reports a
+//!   timeout without consulting the kernel (also models `EINTR` at the
+//!   wait site).
 //! * **Dropped wake-pipe bytes** — the dispatcher's wake never lands; the
 //!   reactor's unconditional completion drain plus the bounded poll
 //!   interval must still deliver every reply.
 //!
 //! Rates are clamped to [`MAX_PERMILLE`] at install so no fault class can
-//! starve progress outright (a permanently-spinning poll or an I/O path
+//! starve progress outright (a permanently-spinning wait or an I/O path
 //! that never executes a real syscall).
 
 use rand::rngs::StdRng;
@@ -58,8 +60,8 @@ pub struct FaultPlan {
     /// *unrecoverable* (per-connection) fault class; keep it at `0` for
     /// bit-exactness schedules.
     pub reset_permille: u16,
-    /// Rate of a `poll` returning a spurious timeout without consulting
-    /// the kernel (delayed readiness / poll-level EINTR).
+    /// Rate of an `epoll_wait` returning a spurious timeout without
+    /// consulting the kernel (delayed readiness / wait-level EINTR).
     pub spurious_wake_permille: u16,
     /// Rate of silently dropping a wake-pipe byte.
     pub drop_wake_permille: u16,
@@ -234,7 +236,7 @@ pub(crate) fn write_fault() -> IoFault {
     })
 }
 
-/// Consulted by [`crate::sys::poll_fds`]: `true` means report a spurious
+/// Consulted by [`crate::sys::Epoll::wait`]: `true` means report a spurious
 /// timeout without entering the kernel.
 pub(crate) fn poll_spurious_wake() -> bool {
     with_injector(false, |inj| {

@@ -16,13 +16,10 @@
 //!   (request-id correlation, completion-order replies) and a
 //!   content-negotiation byte on STATS (plaintext or Prometheus).
 //! * [`sys`] — the only `unsafe` in the crate: minimal `extern "C"`
-//!   bindings for `epoll(7)`, `poll(2)`, `fcntl(2)` and a self-pipe
-//!   (Linux), behind safe wrappers.
-//! * [`poller`] — [`poller::Poller`]: one safe readiness API over both
-//!   backends — edge-triggered `epoll` (the default) and a portable
-//!   level-triggered `poll(2)` fallback, selected by
-//!   [`ReactorBackend`] / the `SNN_REACTOR` environment variable, or
-//!   automatically when `epoll_create1` is unavailable.
+//!   bindings for `epoll(7)`, `fcntl(2)` and a self-pipe (Linux), behind
+//!   safe wrappers.
+//! * [`poller`] — [`poller::Poller`]: the safe edge-triggered `epoll`
+//!   readiness API each reactor shard parks in.
 //! * [`server`] — [`server::NetServer`]: a **sharded reactor** front-end
 //!   — one reactor thread per core (`NetOptions::reactors` /
 //!   `SNN_REACTORS`), shard 0 accepting and dealing connections
@@ -75,6 +72,5 @@ pub mod sys;
 
 pub use client::{scrape_stats, scrape_traces, BackoffPolicy, NetClient, NetPool};
 pub use error::NetError;
-pub use poller::ReactorBackend;
 pub use protocol::{Frame, ProtocolError};
 pub use server::{NetOptions, NetServer, NetStats};

@@ -6,10 +6,8 @@
 //! [`NetOptions::reactors`] reactor threads (one per core by default).
 //! Each shard owns a **private** connection table, write queues, wake pipe
 //! and completion channel, and parks in its own
-//! [`crate::poller::Poller`] — epoll with edge-triggered readiness by
-//! default, the scalar `poll(2)` fallback under `SNN_REACTOR=poll` (or
-//! when `epoll_create1` fails).  Nothing in the front-end ever blocks on
-//! a peer:
+//! [`crate::poller::Poller`] — epoll with edge-triggered readiness.
+//! Nothing in the front-end ever blocks on a peer:
 //!
 //! * **Accepts** happen on shard 0, which owns the listener and hands
 //!   admitted sockets to its siblings **round-robin** over a per-shard
@@ -37,7 +35,7 @@
 //!
 //! # Edge-triggered correctness
 //!
-//! The epoll backend reports a readiness transition exactly once, which
+//! Epoll reports a readiness transition exactly once, which
 //! interacts with the [`NetOptions::read_burst`] fairness cap: a firehose
 //! socket whose burst is cut short still has kernel bytes but will never
 //! re-report readable.  Each reactor therefore keeps a **hot list** of
@@ -49,8 +47,8 @@
 //! kernel will edge on the next writable transition.
 //!
 //! Scores on the wire remain bit-identical to the matching in-process
-//! [`StreamServer::submit`] (loopback suite), pipelined or not, on both
-//! backends and any shard count.
+//! [`StreamServer::submit`] (loopback suite), pipelined or not, at any
+//! shard count.
 //!
 //! # Backpressure, end to end
 //!
@@ -94,7 +92,7 @@
 //! read.
 
 use crate::error::NetError;
-use crate::poller::{Interest, Poller, ReactorBackend};
+use crate::poller::{Interest, Poller};
 use crate::protocol::{
     error_code, probe_plaintext, reject_scope, stats_format, ErrorReply, Frame, PlaintextProbe,
     RejectReply, ScoreReply, NO_REQUEST_ID,
@@ -141,11 +139,6 @@ pub struct NetOptions {
     /// Shard 0 owns the listener and distributes admitted connections
     /// round-robin; a connection lives on one shard for its whole life.
     pub reactors: usize,
-    /// Readiness backend.  [`ReactorBackend::Auto`] (the default) honours
-    /// the `SNN_REACTOR` environment variable (`poll` / `epoll`) and
-    /// otherwise picks epoll, falling back to `poll(2)` when the kernel
-    /// refuses an epoll instance.
-    pub backend: ReactorBackend,
     /// Most bytes one readiness round reads from one socket — the
     /// fairness bound (see [`READ_BURST`], the default).  Tests shrink it
     /// to exercise the edge-trigger hot-list with small payloads.  Must
@@ -161,7 +154,6 @@ impl Default for NetOptions {
             idle_timeout: Duration::from_secs(60),
             max_connections: 256,
             reactors: 0,
-            backend: ReactorBackend::Auto,
             read_burst: READ_BURST,
         }
     }
@@ -185,9 +177,9 @@ pub const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Default of [`NetOptions::read_burst`]: most bytes a reactor reads from
 /// one socket in one readiness round — a fairness bound so a firehose
-/// peer cannot starve its shard neighbours between polls.  The remainder
-/// stays in the kernel buffer; the level backend simply polls readable
-/// again, the edge backend re-reads via the hot list.
+/// peer cannot starve its shard neighbours between waits.  The remainder
+/// stays in the kernel buffer and the reactor re-reads it via the hot
+/// list (no new edge will fire for it).
 pub const READ_BURST: usize = 256 << 10;
 
 /// How long a reactor-wide draining shutdown may keep waiting on
@@ -259,9 +251,6 @@ pub struct ReactorStats {
     pub index: usize,
     /// `false` once this shard's thread has exited (shutdown or panic).
     pub alive: bool,
-    /// The readiness backend the shard actually runs on (after the
-    /// epoll→poll fallback): `"epoll"` or `"poll"`.
-    pub backend: &'static str,
     /// Connections admitted to this shard (the accept share).
     pub accepted: u64,
     /// Connections this shard shed at the cap (sheds land on the accept
@@ -308,7 +297,7 @@ pub struct NetStats {
     pub reactors: u64,
     /// Shards whose threads are still running.
     pub reactors_alive: u64,
-    /// Per-shard breakdown (accept share, handoffs, liveness, backend).
+    /// Per-shard breakdown (accept share, handoffs, liveness).
     pub per_reactor: Vec<ReactorStats>,
     /// The inner [`StreamServer`] statistics (completed, rejected, queue
     /// snapshot, per-unit utilisation, ...).
@@ -321,8 +310,6 @@ struct NetShared {
     /// Resolved shard count (≥ 1); `options.reactors` keeps the raw
     /// request (possibly 0 = auto).
     reactors: usize,
-    /// Backend each shard's poller actually landed on, fixed at bind.
-    backend_names: Vec<&'static str>,
     shutdown: AtomicBool,
     /// Global admission reservation: incremented by the accepting shard
     /// **before** a connection is admitted or handed off, decremented by
@@ -425,21 +412,16 @@ impl NetServer {
         for _ in 0..reactors {
             wakes.push(Arc::new(WakePipe::new()?));
         }
-        // Pollers are built before the threads spawn so the backend each
-        // shard landed on (epoll, or the poll fallback) is known — and
-        // reportable — from the moment `bind` returns.
-        let mut pollers: Vec<Option<Poller>> = (0..reactors)
-            .map(|_| Some(Poller::new(options.backend)))
-            .collect();
-        let backend_names: Vec<&'static str> = pollers
-            .iter()
-            .map(|p| p.as_ref().expect("just built").backend_name())
-            .collect();
+        // Pollers are built before the threads spawn so an
+        // `epoll_create1` failure is a bind error, not a dead shard.
+        let mut pollers = Vec::with_capacity(reactors);
+        for _ in 0..reactors {
+            pollers.push(Some(Poller::new()?));
+        }
         let shared = Arc::new(NetShared {
             server,
             options,
             reactors,
-            backend_names,
             shutdown: AtomicBool::new(false),
             open_total: AtomicUsize::new(0),
             shards: (0..reactors).map(|_| ShardCounters::new()).collect(),
@@ -591,7 +573,6 @@ fn per_reactor_stats(shared: &NetShared) -> Vec<ReactorStats> {
         .map(|(index, c)| ReactorStats {
             index,
             alive: c.alive.load(Ordering::Acquire),
-            backend: shared.backend_names[index],
             accepted: c.accepted.load(Ordering::Relaxed),
             turned_away: c.turned_away.load(Ordering::Relaxed),
             handoffs: c.handoffs.load(Ordering::Relaxed),
@@ -601,17 +582,6 @@ fn per_reactor_stats(shared: &NetShared) -> Vec<ReactorStats> {
             stats_requests: c.stats_requests.load(Ordering::Relaxed),
         })
         .collect()
-}
-
-/// The backend name shared by all shards, or `"mixed"` in the
-/// (theoretical) case of a per-shard fallback divergence.
-fn aggregate_backend(shared: &NetShared) -> &'static str {
-    let first = shared.backend_names[0];
-    if shared.backend_names.iter().all(|name| *name == first) {
-        first
-    } else {
-        "mixed"
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -636,9 +606,8 @@ struct ReadOutcome {
     /// The connection is dead and must be closed.
     dead: bool,
     /// The burst cap ended the read with bytes (possibly) still in the
-    /// kernel buffer — on an edge-triggered backend the reactor must
-    /// remember to come back (hot list), because no new edge will fire
-    /// for bytes that already arrived.
+    /// kernel buffer — the reactor must remember to come back (hot list),
+    /// because no new edge will fire for bytes that already arrived.
     truncated: bool,
 }
 
@@ -679,9 +648,9 @@ struct Conn {
     /// reactor to forward them to the span recorder.
     stall_samples: Vec<(u64, f64)>,
     /// Set when the fault injector faked an `EWOULDBLOCK` on this
-    /// connection: the kernel state did not change, so an edge-triggered
-    /// backend will never re-report — the reactor must treat the socket
-    /// as hot.  Never set outside the `fault-injection` feature.
+    /// connection: the kernel state did not change, so epoll will never
+    /// re-report — the reactor must treat the socket as hot.  Never set
+    /// outside the `fault-injection` feature.
     fault_blocked: bool,
 }
 
@@ -740,7 +709,7 @@ impl Conn {
                 IoFault::Short => self.stream.read(&mut scratch[..1]),
                 IoFault::WouldBlock => {
                     // The socket was not consulted: real bytes may remain,
-                    // and an edge-triggered poller will not re-report them.
+                    // and the edge-triggered poller will not re-report them.
                     self.fault_blocked = true;
                     Err(io::Error::from(ErrorKind::WouldBlock))
                 }
@@ -797,9 +766,9 @@ impl Conn {
                         self.rbuf.extend_from_slice(&scratch[..n]);
                     }
                     total += n;
-                    // Fairness: leave the rest in the kernel buffer.  The
-                    // level backend will re-report readable; the edge
-                    // backend relies on the caller honouring `truncated`.
+                    // Fairness: leave the rest in the kernel buffer.  No
+                    // new edge will fire for it, so the caller must honour
+                    // `truncated` (the hot list).
                     if total >= burst {
                         truncated = true;
                         break;
@@ -879,19 +848,6 @@ impl Conn {
         }
         false
     }
-
-    /// Which poller interest this connection currently needs (the level
-    /// backend's per-wait mask; the edge backend registered everything
-    /// once).
-    fn interest(&self) -> Interest {
-        Interest {
-            // Reads stay registered on non-Open states too: draining the
-            // peer's backlog prevents an RST from destroying the queued
-            // reply.
-            readable: !self.peer_eof,
-            writable: !self.wbuf.is_empty(),
-        }
-    }
 }
 
 /// Ends an admitted connection's claim on the global admission counter
@@ -931,9 +887,9 @@ struct Reactor<'a> {
     /// Tag of every in-flight tagged submission → its origin.
     pending: HashMap<u64, Pending>,
     /// Connections whose last read was cut short by the burst cap (or an
-    /// injected `EWOULDBLOCK`): on an edge-triggered backend no new event
-    /// will fire for the bytes left behind, so the reactor re-reads these
-    /// on the next iteration with a zero wait timeout.
+    /// injected `EWOULDBLOCK`): no new edge will fire for the bytes left
+    /// behind, so the reactor re-reads these on the next iteration with a
+    /// zero wait timeout.
     hot: HashSet<u64>,
     next_token: u64,
     /// Next submission tag: starts at the shard index, strides by the
@@ -1024,33 +980,6 @@ impl<'a> Reactor<'a> {
                     || drain_deadline.is_some_and(|d| Instant::now() >= d)
                 {
                     return;
-                }
-            }
-
-            // The level backend rebuilds its interest set per wait (the
-            // edge backend registered everything once and ignores this).
-            if !self.poller.edge_triggered() {
-                if self.listener.is_some() {
-                    self.poller.set_interest(
-                        TOKEN_LISTENER,
-                        if draining {
-                            Interest::NONE
-                        } else {
-                            Interest::READ
-                        },
-                    );
-                }
-                for (&token, conn) in &self.conns {
-                    let interest = if draining {
-                        // During shutdown only flushes matter.
-                        Interest {
-                            readable: false,
-                            writable: !conn.wbuf.is_empty(),
-                        }
-                    } else {
-                        conn.interest()
-                    };
-                    self.poller.set_interest(token, interest);
                 }
             }
 
@@ -1289,7 +1218,7 @@ impl<'a> Reactor<'a> {
             self.close(token);
             return;
         }
-        if refire && self.poller.edge_triggered() {
+        if refire {
             self.hot.insert(token);
         }
         if was_open {
@@ -1441,7 +1370,7 @@ impl<'a> Reactor<'a> {
             self.close(token);
             return;
         }
-        if refire && self.poller.edge_triggered() {
+        if refire {
             self.hot.insert(token);
         }
     }
@@ -1492,7 +1421,7 @@ impl<'a> Reactor<'a> {
             if conn.state == ConnState::Open && conn.admitted {
                 self.shared.open_total.fetch_sub(1, Ordering::AcqRel);
             }
-            self.poller.deregister(token, conn.stream.as_raw_fd());
+            self.poller.deregister(conn.stream.as_raw_fd());
             self.hot.remove(&token);
             self.counters()
                 .open_connections
@@ -1642,7 +1571,6 @@ fn render_stats_text(shared: &NetShared) -> String {
     ));
     out.push_str(&format!("reactors: {}\n", shared.reactors));
     out.push_str(&format!("reactors_alive: {reactors_alive}\n"));
-    out.push_str(&format!("reactor_backend: {}\n", aggregate_backend(shared)));
     out.push_str(&format!("replicas: {}\n", server.replicas));
     out.push_str(&format!("replicas_healthy: {}\n", server.healthy_replicas));
     out.push_str(&format!("batches: {}\n", server.batches));
@@ -1702,11 +1630,10 @@ fn render_stats_text(shared: &NetShared) -> String {
     }
     for reactor in &per_reactor {
         out.push_str(&format!(
-            "reactor[{}]: shard_alive={} backend={} connections={} accepted={} \
+            "reactor[{}]: shard_alive={} connections={} accepted={} \
              turned_away={} handoffs={} requests={} protocol_errors={} stats_requests={}\n",
             reactor.index,
             u8::from(reactor.alive),
-            reactor.backend,
             reactor.open_connections,
             reactor.accepted,
             reactor.turned_away,
@@ -1878,13 +1805,6 @@ fn render_stats_prometheus(shared: &NetShared) -> String {
         shared.server.recorder().open_spans().to_string(),
     );
     // Per-reactor shard series: which shard is hot, dead, or unbalanced.
-    out.push_str("# TYPE snn_reactor_backend gauge\n");
-    for reactor in &per_reactor {
-        out.push_str(&format!(
-            "snn_reactor_backend{{reactor=\"{}\",backend=\"{}\"}} 1\n",
-            reactor.index, reactor.backend
-        ));
-    }
     for (name, kind, pick) in [
         (
             "snn_reactor_shard_alive",

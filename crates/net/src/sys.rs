@@ -1,22 +1,19 @@
 //! Minimal `extern "C"` bindings for the readiness syscalls the reactor
-//! needs: `poll(2)`, `epoll(7)`, `fcntl(2)` and `pipe(2)` — Linux only, no
-//! external crate (the workspace has no registry access, and vendoring all
-//! of libc for a handful of syscalls would be absurd).
+//! needs: `epoll(7)`, `fcntl(2)` and `pipe(2)` — Linux only, no external
+//! crate (the workspace has no registry access, and vendoring all of libc
+//! for a handful of syscalls would be absurd).
 //!
 //! Everything `unsafe` in `snn-net` lives in this module, behind safe
 //! wrappers:
 //!
-//! * [`poll_fds`] — block until any registered descriptor is ready (or a
-//!   timeout); the scalar O(n) readiness call, kept as the portable
-//!   fallback backend.
 //! * [`Epoll`] — an `epoll(7)` instance for **edge-triggered** readiness:
 //!   descriptors are registered once ([`Epoll::add`]) and only *changes*
 //!   of readiness are reported, so a reactor wait is O(ready), not
-//!   O(registered).  The scale-out backend; see [`crate::poller::Poller`]
-//!   for the backend-neutral wrapper the reactor actually drives.
+//!   O(registered).  See [`crate::poller::Poller`] for the safe wrapper
+//!   the reactor actually drives.
 //! * [`WakePipe`] — a non-blocking self-pipe: any thread calls
-//!   [`WakePipe::wake`] to make a `poll`/`epoll_wait` that watches the
-//!   read end return immediately.  This is how the serving dispatcher
+//!   [`WakePipe::wake`] to make an `epoll_wait` that watches the read end
+//!   return immediately.  This is how the serving dispatcher
 //!   hands completions to a parked reactor.
 //! * [`set_nonblocking`] — `fcntl(F_SETFL, O_NONBLOCK)` on a raw fd
 //!   (std covers sockets; the pipe ends need it done by hand).
@@ -27,65 +24,16 @@
 #![allow(unsafe_code)]
 
 use std::io;
-use std::os::raw::{c_int, c_ulong, c_void};
+use std::os::raw::{c_int, c_void};
 use std::os::unix::io::RawFd;
 use std::time::Duration;
-
-/// `poll(2)` event: readable (or a peer hang-up made `read` return 0).
-pub const POLLIN: i16 = 0x001;
-/// `poll(2)` event: writable without blocking.
-pub const POLLOUT: i16 = 0x004;
-/// `poll(2)` revent: error condition on the descriptor.
-pub const POLLERR: i16 = 0x008;
-/// `poll(2)` revent: peer hung up.
-pub const POLLHUP: i16 = 0x010;
-/// `poll(2)` revent: the descriptor is not open.
-pub const POLLNVAL: i16 = 0x020;
 
 const F_GETFL: c_int = 3;
 const F_SETFL: c_int = 4;
 const O_NONBLOCK: c_int = 0o4000;
 const EINTR: i32 = 4;
 
-/// One registered descriptor of a [`poll_fds`] call — ABI-identical to the
-/// kernel's `struct pollfd`.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct PollFd {
-    /// The descriptor to watch (negative entries are ignored by the
-    /// kernel, which is how unused slots are masked without reshuffling).
-    pub fd: RawFd,
-    /// Requested events (bitwise OR of [`POLLIN`] / [`POLLOUT`]).
-    pub events: i16,
-    /// Returned events, filled by the kernel ([`POLLERR`], [`POLLHUP`] and
-    /// [`POLLNVAL`] may appear even when not requested).
-    pub revents: i16,
-}
-
-impl PollFd {
-    /// A slot watching `fd` for `events`.
-    pub fn new(fd: RawFd, events: i16) -> Self {
-        PollFd {
-            fd,
-            events,
-            revents: 0,
-        }
-    }
-
-    /// Whether the kernel reported any of `mask` on this slot.
-    pub fn has(&self, mask: i16) -> bool {
-        self.revents & mask != 0
-    }
-
-    /// Whether the kernel reported an error-like condition — the
-    /// connection should be torn down.
-    pub fn is_error(&self) -> bool {
-        self.has(POLLERR | POLLNVAL)
-    }
-}
-
 extern "C" {
-    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
     fn pipe(fds: *mut c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
@@ -118,7 +66,6 @@ pub const EPOLLET: u32 = 1 << 31;
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
-const EPOLL_CTL_MOD: c_int = 3;
 
 /// One `epoll` event record — ABI-identical to the kernel's
 /// `struct epoll_event`, which is packed on x86-64 (12 bytes) and
@@ -144,9 +91,9 @@ impl EpollEvent {
 /// An `epoll(7)` instance: the edge-triggered readiness backend.
 ///
 /// Descriptors are registered **once** with their full event mask
-/// ([`EPOLLET`] included); unlike [`poll_fds`] there is no per-wait
-/// interest rebuild — [`Epoll::wait`] returns only descriptors whose
-/// readiness *changed*, in O(ready) time.  The owner must respect the
+/// ([`EPOLLET`] included); there is no per-wait interest rebuild —
+/// [`Epoll::wait`] returns only descriptors whose readiness *changed*, in
+/// O(ready) time.  The owner must respect the
 /// edge-triggered contract: on a reported edge, consume until
 /// `EWOULDBLOCK` or remember that bytes were deliberately left behind
 /// (the reactor's hot-list does the latter for read-burst fairness).
@@ -160,8 +107,8 @@ impl Epoll {
     ///
     /// # Errors
     ///
-    /// Propagates `epoll_create1(2)` failures (descriptor exhaustion,
-    /// or a kernel without epoll — the caller falls back to `poll`).
+    /// Propagates `epoll_create1(2)` failures (descriptor exhaustion, or
+    /// a kernel without epoll) — `NetServer::bind` reports them.
     pub fn new() -> io::Result<Self> {
         // SAFETY: epoll_create1 takes no pointers; a failure is -1/errno.
         let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
@@ -177,7 +124,7 @@ impl Epoll {
             data: token,
         };
         // SAFETY: `event` is a live, exclusively borrowed repr(C) record;
-        // the kernel reads it for ADD/MOD and ignores it for DEL.
+        // the kernel reads it for ADD and ignores it for DEL.
         let rc = unsafe { epoll_ctl(self.fd, op, fd, &mut event) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
@@ -195,15 +142,6 @@ impl Epoll {
         self.ctl(EPOLL_CTL_ADD, fd, events, token)
     }
 
-    /// Rewrites the event mask/cookie of an already registered `fd`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `epoll_ctl(2)` failures (`ENOENT` unregistered fd).
-    pub fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_MOD, fd, events, token)
-    }
-
     /// Unregisters `fd`.  Closing a descriptor unregisters it implicitly;
     /// this exists for symmetry and for descriptors that outlive their
     /// registration (the listener during shutdown).
@@ -219,8 +157,12 @@ impl Epoll {
     /// elapses, or a signal interrupts.  Fills `events` from the front and
     /// returns how many records were written (`0` for timeout; `EINTR` is
     /// reported as `0` so callers treat it as a spurious wake and
-    /// re-loop, exactly like [`poll_fds`]).  A full buffer is not lossy:
-    /// undelivered ready-list entries are reported by the next wait.
+    /// re-loop).  A full buffer is not lossy: undelivered ready-list
+    /// entries are reported by the next wait.
+    ///
+    /// A nonzero timeout is rounded *up* to at least 1 ms: `as_millis`
+    /// truncates, so a sub-millisecond duration would otherwise become 0
+    /// and turn every wait into a busy-spin.
     ///
     /// # Errors
     ///
@@ -235,8 +177,6 @@ impl Epoll {
         if events.is_empty() {
             return Ok(0);
         }
-        // Same rounding contract as `poll_fds`: a nonzero sub-millisecond
-        // timeout must sleep ~1 ms, not busy-spin.
         let mut millis = timeout.as_millis().min(i32::MAX as u128) as c_int;
         if millis == 0 && !timeout.is_zero() {
             millis = 1;
@@ -265,42 +205,6 @@ impl Drop for Epoll {
     }
 }
 
-/// Blocks until at least one slot in `fds` has a ready event, the timeout
-/// elapses, or a signal interrupts.  Returns how many slots have non-zero
-/// `revents` (`0` for timeout; an `EINTR` is reported as `0` so callers
-/// treat it as a spurious wake and re-loop).
-///
-/// # Errors
-///
-/// Propagates `poll(2)` failures other than `EINTR` (`EINVAL` for too many
-/// descriptors, `ENOMEM`).
-pub fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
-    #[cfg(feature = "fault-injection")]
-    if crate::fault::poll_spurious_wake() {
-        // Injected delayed readiness / EINTR: report a spurious timeout
-        // without consulting the kernel; callers re-loop.
-        return Ok(0);
-    }
-    // Round a nonzero timeout *up* to at least 1 ms: `as_millis` truncates,
-    // so a sub-millisecond duration would become 0 and turn every poll
-    // into a busy-spin.
-    let mut millis = timeout.as_millis().min(i32::MAX as u128) as c_int;
-    if millis == 0 && !timeout.is_zero() {
-        millis = 1;
-    }
-    // SAFETY: `fds` is a valid, exclusively borrowed slice of repr(C)
-    // pollfd records; the kernel writes only within `fds.len()` entries.
-    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, millis) };
-    if rc >= 0 {
-        return Ok(rc as usize);
-    }
-    let err = io::Error::last_os_error();
-    if err.raw_os_error() == Some(EINTR) {
-        return Ok(0);
-    }
-    Err(err)
-}
-
 /// Switches a raw descriptor to non-blocking mode via
 /// `fcntl(F_GETFL/F_SETFL)`.
 ///
@@ -321,11 +225,11 @@ pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
     Ok(())
 }
 
-/// A self-pipe that wakes a reactor parked in [`poll_fds`].
+/// A self-pipe that wakes a reactor parked in [`Epoll::wait`].
 ///
 /// Both ends are non-blocking.  [`WakePipe::wake`] writes one byte (from
 /// any thread — the write end is never closed while the pipe lives);
-/// the reactor registers [`WakePipe::read_fd`] with `POLLIN` and calls
+/// the reactor registers [`WakePipe::read_fd`] with [`EPOLLIN`] and calls
 /// [`WakePipe::drain`] after every wake.  A full pipe is not an error:
 /// the reader is already guaranteed to wake, which is the only contract.
 #[derive(Debug)]
@@ -359,12 +263,13 @@ impl WakePipe {
         Ok(this)
     }
 
-    /// The end a reactor registers with [`POLLIN`].
+    /// The end a reactor registers with [`EPOLLIN`].
     pub fn read_fd(&self) -> RawFd {
         self.read_fd
     }
 
-    /// Makes any in-flight or future [`poll_fds`] on the read end return.
+    /// Makes any in-flight or future [`Epoll::wait`] on the read end
+    /// return.
     /// Never blocks: when the pipe buffer is full the wake is already
     /// pending, so the failed write is deliberately ignored.
     pub fn wake(&self) {
@@ -382,7 +287,7 @@ impl WakePipe {
         let _ = unsafe { write(self.write_fd, byte.as_ptr() as *const c_void, 1) };
     }
 
-    /// Empties the pipe so the next [`poll_fds`] blocks again.  Coalesced
+    /// Empties the pipe so the next [`Epoll::wait`] blocks again.  Coalesced
     /// wakes are expected: callers must re-check *all* wake sources after
     /// draining, not count bytes.
     ///
@@ -390,7 +295,7 @@ impl WakePipe {
     /// storm every settled inference writes a wake byte, and a pipe holds
     /// 64 KiB of them — the sink must be large enough that one drain is a
     /// handful of `read(2)`s, not thousands (a 64-byte sink once meant a
-    /// 10 k-completion storm cost ~160 syscalls per poll round).
+    /// 10 k-completion storm cost ~160 syscalls per reactor round).
     pub fn drain(&self) {
         let mut sink = [0u8; 4096];
         loop {
@@ -420,94 +325,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wake_pipe_wakes_a_poll_and_drains() {
-        let pipe = WakePipe::new().unwrap();
-        let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
-        // Nothing pending: a short poll times out.
-        assert_eq!(poll_fds(&mut fds, Duration::from_millis(10)).unwrap(), 0);
-        pipe.wake();
-        let ready = poll_fds(&mut fds, Duration::from_secs(5)).unwrap();
-        assert_eq!(ready, 1);
-        assert!(fds[0].has(POLLIN));
-        pipe.drain();
-        fds[0].revents = 0;
-        assert_eq!(poll_fds(&mut fds, Duration::from_millis(10)).unwrap(), 0);
-    }
-
-    #[test]
-    fn wake_from_another_thread_unblocks_poll() {
-        let pipe = std::sync::Arc::new(WakePipe::new().unwrap());
-        let waker = std::sync::Arc::clone(&pipe);
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            waker.wake();
-        });
-        let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
-        let ready = poll_fds(&mut fds, Duration::from_secs(10)).unwrap();
-        assert_eq!(ready, 1, "the cross-thread wake must end the poll");
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn repeated_wakes_never_block_even_with_a_full_pipe() {
-        let pipe = WakePipe::new().unwrap();
-        // A pipe buffer is 64 KiB by default; far overshoot it.
-        for _ in 0..100_000 {
-            pipe.wake();
-        }
-        let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut fds, Duration::from_secs(5)).unwrap(), 1);
-        pipe.drain();
-        fds[0].revents = 0;
-        assert_eq!(poll_fds(&mut fds, Duration::from_millis(10)).unwrap(), 0);
-    }
-
-    #[test]
-    fn a_flood_of_wakes_drains_in_one_readiness_event() {
-        // Regression: 10 k completions each write one wake byte before the
-        // reactor gets scheduled.  One drain per readiness event must slurp
-        // the whole backlog — afterwards the pipe is empty (poll times out)
-        // and a single fresh wake still gets through.
-        let pipe = WakePipe::new().unwrap();
-        for _ in 0..10_000 {
-            pipe.wake();
-        }
-        let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut fds, Duration::from_secs(5)).unwrap(), 1);
-        assert!(fds[0].has(POLLIN));
-        pipe.drain();
-        fds[0].revents = 0;
-        assert_eq!(
-            poll_fds(&mut fds, Duration::from_millis(10)).unwrap(),
-            0,
-            "one drain call must consume the entire 10k-byte backlog"
-        );
-        // The pipe still works after the flood: wake, poll, drain, quiet.
-        pipe.wake();
-        assert_eq!(poll_fds(&mut fds, Duration::from_secs(5)).unwrap(), 1);
-        pipe.drain();
-        fds[0].revents = 0;
-        assert_eq!(poll_fds(&mut fds, Duration::from_millis(10)).unwrap(), 0);
-    }
-
-    #[test]
-    fn negative_fds_are_ignored_slots() {
-        let pipe = WakePipe::new().unwrap();
-        pipe.wake();
-        let mut fds = [PollFd::new(-1, POLLIN), PollFd::new(pipe.read_fd(), POLLIN)];
-        let ready = poll_fds(&mut fds, Duration::from_secs(5)).unwrap();
-        assert_eq!(ready, 1);
-        assert!(!fds[0].has(POLLIN));
-        assert!(fds[1].has(POLLIN));
-    }
-
-    #[test]
     fn set_nonblocking_rejects_a_closed_fd() {
         // fd -1 is never valid.
         assert!(set_nonblocking(-1).is_err());
     }
-
-    // ---- epoll wrapper: mirrors of the poll_fds suite ------------------
 
     fn wait_one(ep: &Epoll, timeout: Duration) -> Vec<EpollEvent> {
         let mut buf = [EpollEvent::zeroed(); 8];
@@ -547,7 +368,28 @@ mod tests {
     }
 
     #[test]
+    fn repeated_wakes_never_block_even_with_a_full_pipe() {
+        let pipe = WakePipe::new().unwrap();
+        let ep = Epoll::new().unwrap();
+        ep.add(pipe.read_fd(), EPOLLIN | EPOLLET, 1).unwrap();
+        // A pipe buffer is 64 KiB by default; far overshoot it.
+        for _ in 0..100_000 {
+            pipe.wake();
+        }
+        assert_eq!(wait_one(&ep, Duration::from_secs(5)).len(), 1);
+        pipe.drain();
+        assert!(wait_one(&ep, Duration::from_millis(10)).is_empty());
+        // The full pipe did not wedge it: a fresh wake is a fresh edge.
+        pipe.wake();
+        assert_eq!(wait_one(&ep, Duration::from_secs(5)).len(), 1);
+    }
+
+    #[test]
     fn epoll_flood_of_wakes_drains_in_one_readiness_event() {
+        // Regression: 10 k completions each write one wake byte before the
+        // reactor gets scheduled.  One drain per readiness event must slurp
+        // the whole backlog — afterwards the pipe is empty (the wait times
+        // out) and a single fresh wake still gets through.
         let pipe = WakePipe::new().unwrap();
         let ep = Epoll::new().unwrap();
         ep.add(pipe.read_fd(), EPOLLIN | EPOLLET, 1).unwrap();
@@ -565,9 +407,9 @@ mod tests {
     }
 
     /// The edge-triggered contract, pinned: readiness that was already
-    /// reported is **not** reported again until the descriptor is drained
-    /// and becomes readable anew.  This is the failure mode the reactor's
-    /// hot-list exists for.
+    /// reported is **not** reported again until the descriptor becomes
+    /// readable anew.  This is the failure mode the reactor's hot-list
+    /// exists for.
     #[test]
     fn epoll_edge_trigger_reports_a_transition_exactly_once() {
         let pipe = WakePipe::new().unwrap();
@@ -576,17 +418,10 @@ mod tests {
         pipe.wake();
         assert_eq!(wait_one(&ep, Duration::from_secs(5)).len(), 1);
         // The byte is still in the pipe, but the edge was consumed: an
-        // edge-triggered wait must now time out where poll(2) would have
-        // re-reported level readiness forever.
+        // edge-triggered wait must now time out.
         assert!(
             wait_one(&ep, Duration::from_millis(20)).is_empty(),
             "EPOLLET re-reported un-drained readiness"
-        );
-        let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
-        assert_eq!(
-            poll_fds(&mut fds, Duration::from_millis(10)).unwrap(),
-            1,
-            "level-triggered poll still sees the pending byte"
         );
         // A *new* byte is a new edge.
         pipe.wake();
@@ -605,17 +440,17 @@ mod tests {
         );
         ep.delete(pipe.read_fd()).unwrap();
         assert!(ep.delete(pipe.read_fd()).is_err(), "ENOENT surfaces");
-        // Re-registration after delete works, and modify rewrites the
-        // cookie.
+        // Re-registration after delete works, under the new cookie.
         ep.add(pipe.read_fd(), EPOLLIN | EPOLLET, 3).unwrap();
-        ep.modify(pipe.read_fd(), EPOLLIN | EPOLLET, 4).unwrap();
         pipe.wake();
         let events = wait_one(&ep, Duration::from_secs(5));
-        assert_eq!({ events[0].data }, 4);
+        assert_eq!({ events[0].data }, 3);
     }
 
     #[test]
     fn epoll_submillisecond_timeouts_round_up_instead_of_busy_spinning() {
+        // One wait could be unlucky on a loaded host, so require only that
+        // the *sum* of many sub-ms waits shows real sleeping.
         let pipe = WakePipe::new().unwrap();
         let ep = Epoll::new().unwrap();
         ep.add(pipe.read_fd(), EPOLLIN | EPOLLET, 1).unwrap();
@@ -632,34 +467,6 @@ mod tests {
         let start = std::time::Instant::now();
         for _ in 0..100 {
             wait_one(&ep, Duration::ZERO);
-        }
-        assert!(start.elapsed() < Duration::from_millis(100));
-    }
-
-    #[test]
-    fn submillisecond_timeouts_round_up_instead_of_busy_spinning() {
-        // A nonzero timeout below 1 ms used to truncate to a zero-timeout
-        // poll; with nothing ready the call must now take at least ~1 ms
-        // (the rounded-up kernel timeout), not return instantly.  One
-        // iteration could be unlucky on a loaded host, so require only
-        // that the *sum* of many polls shows real sleeping.
-        let pipe = WakePipe::new().unwrap();
-        let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
-        let start = std::time::Instant::now();
-        for _ in 0..20 {
-            fds[0].revents = 0;
-            assert_eq!(poll_fds(&mut fds, Duration::from_micros(100)).unwrap(), 0);
-        }
-        assert!(
-            start.elapsed() >= Duration::from_millis(10),
-            "20 sub-ms polls finished in {:?}: the timeout truncated to 0",
-            start.elapsed()
-        );
-        // A genuinely zero timeout still returns immediately.
-        let start = std::time::Instant::now();
-        for _ in 0..100 {
-            fds[0].revents = 0;
-            poll_fds(&mut fds, Duration::ZERO).unwrap();
         }
         assert!(start.elapsed() < Duration::from_millis(100));
     }

@@ -1,8 +1,7 @@
 //! Sharded-reactor loopback suite: with the front-end split into N
 //! reactor shards, results must be indistinguishable from the
 //! single-reactor server — scores stay bit-identical to the in-process
-//! `StreamServer::submit` on **both** readiness backends — while the
-//! sharding itself is visible in the per-reactor stats (round-robin
+//! `StreamServer::submit` — while the sharding itself is visible in the per-reactor stats (round-robin
 //! accept distribution, handoff counts) and the global connection cap
 //! holds exactly across shards.  Also pins the edge-trigger starvation
 //! regression: a socket whose readable bytes outlast one fairness burst
@@ -16,7 +15,7 @@ use snn_model::params::Parameters;
 use snn_model::snn::SnnModel;
 use snn_model::zoo;
 use snn_net::protocol::reject_scope;
-use snn_net::{NetClient, NetError, NetOptions, NetServer, ReactorBackend};
+use snn_net::{NetClient, NetError, NetOptions, NetServer};
 use snn_tensor::Tensor;
 use std::time::Duration;
 
@@ -45,10 +44,9 @@ fn tiny_setup(count: usize) -> (SnnModel, Vec<Tensor<f32>>) {
     (model, inputs)
 }
 
-fn sharded_options(reactors: usize, backend: ReactorBackend) -> NetOptions {
+fn sharded_options(reactors: usize) -> NetOptions {
     NetOptions {
         reactors,
-        backend,
         poll_interval: Duration::from_millis(5),
         ..NetOptions::default()
     }
@@ -56,81 +54,46 @@ fn sharded_options(reactors: usize, backend: ReactorBackend) -> NetOptions {
 
 /// The sharding exactness pin: three reactor shards serving three
 /// concurrent connections (so every shard owns one) return logits
-/// bit-identical to the in-process submit — on the edge-triggered epoll
-/// backend *and* the level-triggered poll fallback.
+/// bit-identical to the in-process submit.
 #[test]
-fn sharded_scores_match_in_process_submit_on_both_backends() {
+fn sharded_scores_match_in_process_submit() {
     let (model, inputs) = tiny_setup(4);
     let config = AcceleratorConfig::default();
     let in_process = StreamServer::start(config, model.clone()).unwrap();
-    for backend in [ReactorBackend::Epoll, ReactorBackend::Poll] {
-        let server = NetServer::bind(
-            "127.0.0.1:0",
-            config,
-            model.clone(),
-            sharded_options(3, backend),
-        )
-        .unwrap();
-        // Three live connections: round-robin places one on each shard.
-        let mut clients: Vec<NetClient> = (0..3)
-            .map(|_| NetClient::connect(server.local_addr()).unwrap())
-            .collect();
-        for (i, input) in inputs.iter().enumerate() {
-            let client = &mut clients[i % 3];
-            let wire = client.infer(input).unwrap();
-            let solo = in_process.submit(input.clone()).unwrap().wait().unwrap();
-            assert_eq!(
-                wire.logits, solo.logits,
-                "logits must be bit-identical under sharding ({backend:?})"
-            );
-            assert_eq!(wire.prediction as usize, solo.prediction);
-            assert_eq!(wire.total_cycles, solo.total_cycles());
-        }
-        let stats = server.stats();
-        assert_eq!(stats.reactors, 3);
-        assert_eq!(stats.reactors_alive, 3);
-        assert_eq!(stats.per_reactor.len(), 3);
-        // Round-robin: every shard got exactly one of the three
-        // connections, and the non-accepting shards got theirs by handoff.
-        for reactor in &stats.per_reactor {
-            assert_eq!(
-                reactor.accepted, 1,
-                "round-robin must spread 3 connections over 3 shards"
-            );
-            let expected_handoffs = u64::from(reactor.index != 0);
-            assert_eq!(reactor.handoffs, expected_handoffs);
-        }
-        assert_eq!(stats.requests, inputs.len() as u64);
-        drop(clients);
-        server.shutdown();
+    let server = NetServer::bind("127.0.0.1:0", config, model, sharded_options(3)).unwrap();
+    // Three live connections: round-robin places one on each shard.
+    let mut clients: Vec<NetClient> = (0..3)
+        .map(|_| NetClient::connect(server.local_addr()).unwrap())
+        .collect();
+    for (i, input) in inputs.iter().enumerate() {
+        let client = &mut clients[i % 3];
+        let wire = client.infer(input).unwrap();
+        let solo = in_process.submit(input.clone()).unwrap().wait().unwrap();
+        assert_eq!(
+            wire.logits, solo.logits,
+            "logits must be bit-identical under sharding"
+        );
+        assert_eq!(wire.prediction as usize, solo.prediction);
+        assert_eq!(wire.total_cycles, solo.total_cycles());
     }
+    let stats = server.stats();
+    assert_eq!(stats.reactors, 3);
+    assert_eq!(stats.reactors_alive, 3);
+    assert_eq!(stats.per_reactor.len(), 3);
+    // Round-robin: every shard got exactly one of the three connections,
+    // and the non-accepting shards got theirs by handoff.
+    for reactor in &stats.per_reactor {
+        assert_eq!(
+            reactor.accepted, 1,
+            "round-robin must spread 3 connections over 3 shards"
+        );
+        let expected_handoffs = u64::from(reactor.index != 0);
+        assert_eq!(reactor.handoffs, expected_handoffs);
+    }
+    assert_eq!(stats.requests, inputs.len() as u64);
+    drop(clients);
+    server.shutdown();
     in_process.shutdown();
-}
-
-/// Every shard reports the backend it actually runs on, and an explicit
-/// `ReactorBackend::Poll` request is honoured per shard.
-#[test]
-fn per_reactor_stats_report_the_resolved_backend() {
-    let (model, _) = tiny_setup(1);
-    for (backend, expected) in [
-        (ReactorBackend::Epoll, "epoll"),
-        (ReactorBackend::Poll, "poll"),
-    ] {
-        let server = NetServer::bind(
-            "127.0.0.1:0",
-            AcceleratorConfig::default(),
-            model.clone(),
-            sharded_options(2, backend),
-        )
-        .unwrap();
-        let stats = server.stats();
-        assert_eq!(stats.per_reactor.len(), 2);
-        for reactor in &stats.per_reactor {
-            assert_eq!(reactor.backend, expected);
-            assert!(reactor.alive);
-        }
-        server.shutdown();
-    }
 }
 
 /// The connection cap is **global**: two shards collectively own at most
@@ -145,7 +108,7 @@ fn connection_cap_is_shared_across_shards() {
         model,
         NetOptions {
             max_connections: 2,
-            ..sharded_options(2, ReactorBackend::Auto)
+            ..sharded_options(2)
         },
     )
     .unwrap();
@@ -208,7 +171,7 @@ fn tiny_read_burst_does_not_strand_pipelined_requests_under_edge_triggering() {
             // requests are ~12 KiB buffered behind a single edge, drained
             // 64 bytes per round — hundreds of hot-list re-reads.
             read_burst: 64,
-            ..sharded_options(1, ReactorBackend::Epoll)
+            ..sharded_options(1)
         },
     )
     .unwrap();

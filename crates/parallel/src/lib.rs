@@ -26,7 +26,7 @@
 //!   exceeds the budget no matter how deeply calls nest — a batch worker
 //!   that fans out over channels draws from the same queue it runs on.
 //! * **IO leases** — long-lived IO-bound threads (the `snn-net` reactor,
-//!   which parks in `poll(2)` over every connection; serving dispatchers)
+//!   which parks in `epoll_wait(2)`; serving dispatchers)
 //!   spend their life blocked on descriptors and only *submit* compute
 //!   through the serving queue, so they do not consume the compute budget;
 //!   they reserve an [`IoLease`] instead, bounded at [`IO_LEASE_FACTOR`]
@@ -135,7 +135,7 @@ impl ThreadBudget {
     }
 
     /// Tries to reserve `want` threads for **IO-bound** work — e.g. a
-    /// network reactor that parks in `poll(2)` over every connection and
+    /// network reactor that parks in `epoll_wait(2)` over its connections and
     /// only *submits* compute through the bounded serving queue.
     ///
     /// IO threads do not draw down the compute budget (they are parked in
