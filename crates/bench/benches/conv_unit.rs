@@ -415,7 +415,7 @@ fn main() {
          \"results\": {}\n}}\n",
         criterion.summary_json()
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_conv.json");
-    std::fs::write(path, &json).expect("write BENCH_conv.json");
-    println!("wrote {path}");
+    let path = snn_bench::bench_output_path("BENCH_conv.json");
+    std::fs::write(&path, &json).expect("write BENCH_conv.json");
+    println!("wrote {}", path.display());
 }

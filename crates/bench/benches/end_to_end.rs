@@ -2,14 +2,14 @@
 //! converted SNN models on the accelerator simulator, plus the analytical
 //! design-space evaluation used for Tables II and III.
 //!
-//! Besides the criterion groups, the harness runs the **serving sweep**
+//! Besides the criterion groups, the harness runs the **serving scenario**
 //! from [`snn_bench::serve_sweep`]: a batch of LeNet-5 inferences served
-//! through the streaming micro-batching server at 1, 2 and 4 replica
-//! engines versus naive sequential `run` per-input calls (compile +
-//! execution per call — what a client without the server would do).  The
-//! measured inferences/sec, replica scaling, speedup, thread budget and
-//! modelled per-unit utilisation are written to `BENCH_serve.json` at the
-//! workspace root so the serving-throughput trajectory is tracked PR over
+//! through the streaming micro-batching server versus naive sequential
+//! `run` per-input calls (compile + execution per call — what a client
+//! without the server would do).  The measured inferences/sec, speedup,
+//! thread budget and modelled per-unit utilisation are written to
+//! `BENCH_serve.json` at the workspace root (see
+//! [`snn_bench::bench_output_path`]) so the serving-throughput trajectory is tracked PR over
 //! PR alongside `BENCH_conv.json`.
 
 use criterion::{criterion_group, Criterion};
@@ -104,7 +104,7 @@ fn bench_design_space(c: &mut Criterion) {
 
 criterion_group!(benches, bench_inference, bench_design_space);
 
-/// Runs the criterion groups, then the replica-sweep serving scenario,
+/// Runs the criterion groups, then the serving scenario,
 /// and writes the `BENCH_serve.json` summary.
 fn main() {
     let mut criterion = Criterion::default();
@@ -116,7 +116,7 @@ fn main() {
         "{{\n{serve},\n\"results\": {}\n}}\n",
         criterion.summary_json()
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, &json).expect("write BENCH_serve.json");
-    println!("wrote {path}");
+    let path = snn_bench::bench_output_path("BENCH_serve.json");
+    std::fs::write(&path, &json).expect("write BENCH_serve.json");
+    println!("wrote {}", path.display());
 }

@@ -1,6 +1,5 @@
-//! Standalone replica-sweep serving benchmark: runs the
-//! [`snn_bench::serve_sweep`] scenario (naive `run` baseline, then
-//! the streaming server at 1, 2 and 4 replica engines) and writes
+//! Standalone serving benchmark: runs the [`snn_bench::serve_sweep`]
+//! scenario (naive `run` baseline, then the streaming server) and writes
 //! `BENCH_serve.json` to the current directory — the same schema the
 //! `end_to_end` criterion harness produces, minus the criterion `results`
 //! rows (written as an empty array so `bench_trend` parses either file).

@@ -69,7 +69,6 @@ mod tests {
         RequestTrace {
             request_id: id,
             unix_ms: 0,
-            replica: Some(0),
             queue_depth_at_route: Some(0),
             phases: vec![PhaseSpan {
                 phase: Phase::Compute,

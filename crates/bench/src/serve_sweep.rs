@@ -1,23 +1,16 @@
 //! The serving scenario behind `BENCH_serve.json`: naive per-call
-//! inference versus the streaming server, swept across replica counts.
+//! inference versus the streaming server.
 //!
-//! One compiled LeNet-5 program is served three ways: a naive sequential
+//! One compiled LeNet-5 program is served two ways: a naive sequential
 //! `run` call per input (per-call compile — what a client without the
-//! server would do), the streaming micro-batching server with a single
-//! engine, and the same server with 2 and 4 replica engines behind the
-//! queue-aware router.  Logits are bit-identical in every configuration
-//! (pinned by the `exec_properties` and `replica_properties` suites); the
-//! sweep records what each configuration buys in throughput.
+//! server would do) and the streaming micro-batching server.  Logits are
+//! bit-identical either way (pinned by the `exec_properties` suite); the
+//! scenario records what the server buys in throughput.
 //!
 //! The body produced by [`sweep_body`] is shared by the `end_to_end`
 //! criterion harness (which appends its `results` rows) and the standalone
-//! `bench_serve` binary (which writes the sweep alone), so both regenerate
-//! the same schema.
-//!
-//! Replica scaling is a property of the host: on a single hardware thread
-//! the dispatcher threads time-slice one core and `replicas_2_vs_1` hovers
-//! around 1.0; the committed numbers are whatever the recording host
-//! honestly measured, and the trend check compares like against like.
+//! `bench_serve` binary (which writes the scenario alone), so both
+//! regenerate the same schema.
 
 use snn_accel::config::AcceleratorConfig;
 use snn_accel::serve::{ServerOptions, StreamServer};
@@ -33,14 +26,11 @@ use std::time::Instant;
 /// Inferences per measured round.
 pub const BATCH: usize = 32;
 
-/// Micro-batch size of every server configuration in the sweep.
+/// Micro-batch size of the served configuration.
 pub const MICRO_BATCH: usize = 8;
 
 /// Measurement rounds per configuration; the best round is recorded.
 pub const ROUNDS: usize = 3;
-
-/// Replica-engine counts swept by the serving scenario.
-pub const REPLICA_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn lenet_model() -> (SnnModel, Tensor<f32>) {
     let net = zoo::lenet5();
@@ -67,12 +57,9 @@ fn lenet_model() -> (SnnModel, Tensor<f32>) {
 /// Measures the serving scenario and returns the `BENCH_serve.json` body
 /// (everything except the criterion `results` array).
 ///
-/// Baseline: naive sequential `run` per-input calls.  Contenders: the
-/// streaming server at each replica count in [`REPLICA_COUNTS`].  The
-/// historical `inferences_per_sec/stream_server` and
-/// `speedup_server_vs_naive` keys keep tracking the single-replica server
-/// so the PR-over-PR trend is unbroken; the sweep adds
-/// `replica_throughput_ips/replicas_N` and `replica_speedup` on top.
+/// Baseline: naive sequential `run` per-input calls.  Contender: the
+/// streaming server, reported as `inferences_per_sec/stream_server` and
+/// `speedup_server_vs_naive`.
 ///
 /// # Panics
 ///
@@ -104,78 +91,47 @@ pub fn sweep_body() -> String {
     }
     let naive_ips = BATCH as f64 / naive_best;
 
-    // Replica sweep: compile once, micro-batch onto 1/2/4 engines behind
-    // the router.  Single-replica stats feed the utilisation section so
-    // the modelled per-unit numbers stay comparable with earlier PRs.
-    let mut swept: Vec<(usize, f64)> = Vec::new();
-    let mut single_stats = None;
-    let mut phase_latency = String::from("{}");
-    for replicas in REPLICA_COUNTS {
-        let server = StreamServer::start_with(
-            config,
-            model.clone(),
-            ServerOptions {
-                max_batch: MICRO_BATCH,
-                replicas,
-                // The summary embeds per-phase trace percentiles, so
-                // tracing is pinned on regardless of SNN_TRACE.
-                trace: true,
-                ..ServerOptions::default()
-            },
-        )
-        .expect("start server");
-        server.run_all(&inputs[..2]).expect("server warmup");
-        let mut best = f64::INFINITY;
-        for _ in 0..ROUNDS {
-            let start = Instant::now();
-            black_box(server.run_all(&inputs).expect("served batch"));
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        let ips = BATCH as f64 / best;
-        if replicas == 1 {
-            // Per-phase latency percentiles from the single-replica run's
-            // span recorder (tracing is on by default), summarised for
-            // the PR-over-PR trend like the throughput numbers.
-            let traces = server.recorder().drain();
-            if !traces.is_empty() {
-                phase_latency = crate::phases::phase_latency_json(&traces);
-            }
-        }
-        let stats = server.shutdown();
-        assert_eq!(stats.replicas, replicas, "sweep must run what it claims");
-        assert_eq!(
-            stats.healthy_replicas, replicas,
-            "every engine must survive the measured rounds"
-        );
-        if replicas == 1 {
-            single_stats = Some(stats);
-        }
-        swept.push((replicas, ips));
+    // Compile once, micro-batch onto the engine.
+    let server = StreamServer::start_with(
+        config,
+        model.clone(),
+        ServerOptions {
+            max_batch: MICRO_BATCH,
+            // The summary embeds per-phase trace percentiles, so tracing
+            // is pinned on regardless of SNN_TRACE.
+            trace: true,
+            ..ServerOptions::default()
+        },
+    )
+    .expect("start server");
+    server.run_all(&inputs[..2]).expect("server warmup");
+    let mut best = f64::INFINITY;
+    for _ in 0..ROUNDS {
+        let start = Instant::now();
+        black_box(server.run_all(&inputs).expect("served batch"));
+        best = best.min(start.elapsed().as_secs_f64());
     }
-    let stats = single_stats.expect("REPLICA_COUNTS includes 1");
-    let serve_ips = swept[0].1;
+    let serve_ips = BATCH as f64 / best;
+    // Per-phase latency percentiles from the server's span recorder,
+    // summarised for the PR-over-PR trend like the throughput numbers.
+    let traces = server.recorder().drain();
+    let phase_latency = if traces.is_empty() {
+        String::from("{}")
+    } else {
+        crate::phases::phase_latency_json(&traces)
+    };
+    assert!(
+        server.is_healthy(),
+        "the engine must survive the measured rounds"
+    );
+    let stats = server.shutdown();
     let speedup = serve_ips / naive_ips;
-    let scaling: Vec<String> = swept
-        .iter()
-        .skip(1)
-        .map(|(r, ips)| format!("{r}x={:.2}", ips / serve_ips))
-        .collect();
     println!(
         "serve: naive {naive_ips:.1} inf/s, stream server {serve_ips:.1} inf/s ({speedup:.2}x, \
-         thread budget {}); replica scaling {}",
-        stats.thread_budget,
-        scaling.join(" ")
+         thread budget {})",
+        stats.thread_budget
     );
 
-    let throughput: Vec<String> = swept
-        .iter()
-        .map(|(r, ips)| format!("\"replicas_{r}\": {ips:.2}"))
-        .collect();
-    let replica_speedup: Vec<String> = swept
-        .iter()
-        .skip(1)
-        .map(|(r, ips)| format!("\"replicas_{r}_vs_1\": {:.3}", ips / serve_ips))
-        .collect();
     let utilisation: Vec<String> = stats
         .utilisation
         .iter()
@@ -199,13 +155,9 @@ pub fn sweep_body() -> String {
          \"inferences_per_sec\": {{\"naive_run\": {naive_ips:.2}, \
          \"stream_server\": {serve_ips:.2}}},\n\
          \"speedup_server_vs_naive\": {speedup:.3},\n\
-         \"replica_throughput_ips\": {{{}}},\n\
-         \"replica_speedup\": {{{}}},\n\
          \"trace_phase_latency\": {phase_latency},\n\
          \"unit_utilisation\": {{{}}}",
         stats.thread_budget,
-        throughput.join(", "),
-        replica_speedup.join(", "),
         utilisation.join(", ")
     )
 }

@@ -10,8 +10,8 @@
 //! * `*_ns`, `*_us`, `*_ms` — durations (and latency percentiles like the
 //!   `p50_us`/`p99_us` of `BENCH_net.json`), **lower** is better;
 //! * `*speedup*`, `*per_sec*` paths, path segments ending in `_ips`
-//!   (inferences per second, e.g. the `replica_throughput_ips` sweep of
-//!   `BENCH_serve.json`) and `utilisation` leaf keys — ratios/rates,
+//!   (inferences per second, e.g. `drain_rate_ips`; an `_ips` parent
+//!   segment marks every leaf under it) and `utilisation` leaf keys — ratios/rates,
 //!   **higher** is better;
 //! * everything else (sample counts, batch sizes, cycle counts — including
 //!   the `busy_cycles`/`total_cycles` siblings of a utilisation entry) is
@@ -69,7 +69,7 @@ pub fn fail_threshold_for(id: &str) -> f64 {
 /// Absolute materiality floor for duration comparisons (500 µs).
 ///
 /// Relative thresholds need an absolute floor: micro-phases like
-/// connection `admission` or replica `route` sit at single-digit
+/// connection `admission` or queue `route` sit at single-digit
 /// microseconds, where a "150 % regression" (0.2 µs -> 0.5 µs) measures
 /// scheduler jitter, not the server.  [`compare`] skips a lower-is-better
 /// duration regression when **both** values are below the floor; a real
@@ -337,7 +337,7 @@ pub fn parse_metrics_with_skipped(text: &str) -> Result<(Vec<Metric>, Vec<String
         // Only the `utilisation` leaf is a rate; its cycle-count siblings
         // (`.../busy_cycles`, `.../total_cycles`) are informational.  An
         // `_ips` suffix on any path segment marks a throughput rate — the
-        // segment may be a parent (`replica_throughput_ips/replicas_2`),
+        // segment may be a parent (`throughput_ips/<variant>`),
         // so the whole path is checked, not just the leaf.
         let leaf = id.rsplit('/').next().unwrap_or(id.as_str()).to_string();
         let higher = id.contains("speedup")

@@ -71,17 +71,15 @@ pub enum AccelError {
         /// The deadline it missed, in milliseconds after submission.
         deadline_ms: u64,
     },
-    /// The replica engine this submission was placed on died before
-    /// serving it: its dispatcher panicked outside the per-item guard, the
-    /// supervisor marked it unhealthy and settled every queued and
-    /// in-flight submission with this error.  Sibling replicas keep
-    /// serving (see [`crate::serve::ServerStats::healthy_replicas`]), so a
-    /// resubmission is rerouted to a healthy replica — but unlike
+    /// The server's engine died before serving this submission: its
+    /// dispatcher panicked outside the per-item guard, and the supervisor
+    /// marked it unhealthy and settled every queued and in-flight
+    /// submission with this error.  The server cannot serve again until
+    /// it is restarted (see [`crate::serve::StreamServer::is_healthy`]):
+    /// later submissions fail with [`AccelError::Serving`].  Unlike
     /// [`AccelError::QueueFull`] this is a failure, not backpressure: the
     /// inference was admitted and then lost.
     ReplicaDown {
-        /// Index of the replica that died.
-        replica: usize,
         /// Human-readable description.
         context: String,
     },
@@ -137,9 +135,7 @@ impl fmt::Display for AccelError {
                 "request shed before compute: waited {waited_ms} ms in the queue, \
                  deadline was {deadline_ms} ms"
             ),
-            AccelError::ReplicaDown { replica, context } => {
-                write!(f, "replica {replica} is down: {context}")
-            }
+            AccelError::ReplicaDown { context } => write!(f, "engine is down: {context}"),
         }
     }
 }
@@ -202,10 +198,9 @@ mod tests {
             context: "index out of bounds".into()
         }
         .is_backpressure());
-        // A dead replica lost admitted work; retrying blindly without
-        // rerouting would be wrong, so it is a failure, not backpressure.
+        // A dead engine lost admitted work and will not come back, so it
+        // is a failure, not backpressure.
         assert!(!AccelError::ReplicaDown {
-            replica: 1,
             context: "dispatcher died".into()
         }
         .is_backpressure());

@@ -1,46 +1,36 @@
-//! Streaming batch serving: replica engines behind a queue-aware router.
+//! Streaming batch serving: one compiled engine behind a bounded queue.
 //!
-//! [`StreamServer`] compiles one model **once** and serves it from
-//! [`ServerOptions::replicas`] independent engine replicas (default 1 —
-//! the single-engine server of old).  Each replica owns a bounded
-//! submission queue and a dispatcher thread that drains it into
-//! micro-batches of up to [`ServerOptions::max_batch`] inputs, executing
-//! each batch over its slice of the shared worker pool — compiling once at
-//! start-up instead of per call, and serving on the **bit-plane sparse
-//! engine**.  In front of the replicas sits a
-//! `router::Router` that places every submission by live per-replica
-//! queue snapshots: least depth first, recent drain rate as the tiebreak,
-//! sticky fallback when no snapshot is fresh.  Every report a client
-//! receives is bit-identical to the matching solo
-//! [`crate::sim::Accelerator`] call **regardless of the replica count**
-//! (pinned by property tests).
+//! [`StreamServer`] compiles one model **once** and serves it from one
+//! engine: a bounded submission queue and a dispatcher thread that drains
+//! it into micro-batches of up to [`ServerOptions::max_batch`] inputs,
+//! executing each batch on the **bit-plane sparse engine** over the whole
+//! shared worker pool — compiling once at start-up instead of per call.
+//! Every report a client receives is bit-identical to the matching solo
+//! [`crate::sim::Accelerator`] call (pinned by property tests).
 //!
 //! All parallelism — batch workers and per-layer channel fan-out — draws
-//! from the single global [`snn_parallel::ThreadBudget`], partitioned
-//! evenly between the replicas, so a server under heavy traffic cannot
-//! oversubscribe the host.  [`StreamServer::stats`] aggregates the
-//! per-replica counters (completed inferences, micro-batch sizes,
-//! wall-clock throughput, modelled per-unit utilisation) into one
-//! [`ServerStats`] view that also carries the per-replica slices; the
-//! end-to-end benchmark records these in `BENCH_serve.json`.
+//! from the single global [`snn_parallel::ThreadBudget`], so a server
+//! under heavy traffic cannot oversubscribe the host.
+//! [`StreamServer::stats`] reports the cumulative counters (completed
+//! inferences, micro-batch sizes, wall-clock throughput, modelled
+//! per-unit utilisation) as one [`ServerStats`] view; the end-to-end
+//! benchmark records these in `BENCH_serve.json`.
 //!
 //! # Admission policy
 //!
-//! Every submission queue is **bounded** by
+//! The submission queue is **bounded** by
 //! [`ServerOptions::queue_capacity`] with a *reject-when-full* policy:
-//! [`StreamServer::submit`] never blocks the caller — the router spills a
-//! submission from a full replica to the next candidate, and only when
-//! **every** healthy replica is full is the submission rejected with the
-//! typed [`AccelError::QueueFull`] (carrying the aggregate depth and
-//! capacity) and counted in [`ServerStats::rejected`].  Rejection is load
-//! shedding, not failure: the client sees exactly which limit it hit and
-//! can retry, back off or route elsewhere, while the server's memory stays
-//! bounded no matter how fast clients submit — the property a network
-//! front-end needs.  [`StreamServer::queue_snapshot`] exposes the live
-//! aggregate queue depth and recent drain rate (windowed over the last
-//! [`DRAIN_WINDOW_BATCHES`] micro-batches per replica) so that front-end
-//! (`snn-net`) can attach a concrete *retry-after* hint to every
-//! rejection.
+//! [`StreamServer::submit`] never blocks the caller — a submission that
+//! finds the queue full is rejected with the typed
+//! [`AccelError::QueueFull`] (carrying the observed depth and capacity)
+//! and counted in [`ServerStats::rejected`].  Rejection is load shedding,
+//! not failure: the client sees exactly which limit it hit and can retry,
+//! back off or route elsewhere, while the server's memory stays bounded no
+//! matter how fast clients submit — the property a network front-end
+//! needs.  [`StreamServer::queue_snapshot`] exposes the live queue depth
+//! and recent drain rate (windowed over the last
+//! [`DRAIN_WINDOW_BATCHES`] micro-batches) so that front-end (`snn-net`)
+//! can attach a concrete *retry-after* hint to every rejection.
 //!
 //! # Completion paths
 //!
@@ -54,28 +44,25 @@
 //!   front-end uses: the `snn-net` reactor hands the dispatcher a waker
 //!   that writes one byte into its wake pipe, keeps hundreds of inferences
 //!   in flight across its connections, and never parks a thread per
-//!   request.  Both paths are bit-identical, on every replica.
+//!   request.  Both paths are bit-identical.
 //!
-//! # Graceful degradation
+//! # Engine death
 //!
-//! Each replica's dispatcher runs under a supervisor: a panic that escapes
-//! the per-item unwind guard kills only that replica.  The supervisor
-//! marks it unhealthy, closes its queue, and settles its queued and
-//! in-flight submissions with the typed [`AccelError::ReplicaDown`] —
-//! those clients get an immediate answer and can resubmit, the router
-//! reroutes everything else to the surviving replicas, and
-//! [`ServerStats::healthy_replicas`] drops below
-//! [`ServerStats::replicas`]: healthy but degraded, not dead.  Only when
-//! the last replica dies do new submissions fail with
-//! [`AccelError::Serving`].
+//! The dispatcher runs under a supervisor: a panic that escapes the
+//! per-item unwind guard kills the engine, not the process.  The
+//! supervisor marks it unhealthy, closes its queue, and settles every
+//! queued and in-flight submission with the typed
+//! [`AccelError::ReplicaDown`] — those clients get an immediate answer
+//! instead of a hang — and [`StreamServer::is_healthy`] turns `false`.
+//! Every later submission fails at admission with [`AccelError::Serving`]
+//! until the server is rebuilt.
 
 mod replica;
-pub mod router;
 mod stats;
 
 pub use stats::{
-    drain_rate, QueueSnapshot, ReplicaStats, ServerStats, DEFAULT_RETRY_AFTER_MS,
-    DRAIN_WINDOW_BATCHES, MAX_RETRY_AFTER_MS,
+    drain_rate, QueueSnapshot, ServerStats, DEFAULT_RETRY_AFTER_MS, DRAIN_WINDOW_BATCHES,
+    MAX_RETRY_AFTER_MS,
 };
 
 use crate::config::AcceleratorConfig;
@@ -84,12 +71,11 @@ use crate::report::RunReport;
 use crate::sim::Accelerator;
 use crate::{AccelError, Result};
 use replica::{relock, EngineShared, ReplicaShared, ReplyTo, Submission};
-use router::Router;
 use snn_model::snn::SnnModel;
 use snn_telemetry::{Outcome, Phase, SpanRecorder};
 use snn_tensor::Tensor;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -97,11 +83,9 @@ use std::time::{Duration, Instant};
 /// Options of a [`StreamServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerOptions {
-    /// Maximum number of queued inputs drained into one micro-batch (per
-    /// replica).
+    /// Maximum number of queued inputs drained into one micro-batch.
     pub max_batch: usize,
-    /// Maximum undispatched submissions **each replica's** queue holds
-    /// before it refuses placements; when every healthy replica is full,
+    /// Maximum undispatched submissions the queue holds; beyond it
     /// [`StreamServer::submit`] rejects with [`AccelError::QueueFull`]
     /// (see the module docs on the admission policy).  Must be at least
     /// `1`: a zero capacity would reject every submission, so
@@ -119,17 +103,10 @@ pub struct ServerOptions {
     /// every queued submission — useful in tests, degenerate in
     /// production.
     pub max_queue_wait: Option<Duration>,
-    /// How many engine replicas serve the compiled model (default 1).
-    /// Each replica gets its own dispatcher thread, bounded queue and an
-    /// even share of the global thread budget; the router places each
-    /// submission on the least-loaded healthy replica.  Results are
-    /// bit-identical for every value.  Must be at least `1`
-    /// ([`AccelError::InvalidConfig`] otherwise).
-    pub replicas: usize,
     /// Whether per-request span tracing is recorded (default: on, unless
     /// the environment sets `SNN_TRACE=0`).  Tracing is wait-free on the
     /// hot path — phase marks live on the submission itself and the only
-    /// shared touch is one shard mutex at completion — with a documented
+    /// shared touch is one recorder mutex at completion — with a documented
     /// overhead budget of <3% throughput versus tracing off, and results
     /// are bit-identical either way (pinned by tests).  See
     /// [`StreamServer::recorder`].
@@ -146,7 +123,6 @@ impl Default for ServerOptions {
             max_batch: 8,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             max_queue_wait: None,
-            replicas: 1,
             trace: snn_telemetry::trace_enabled_from_env(),
         }
     }
@@ -234,11 +210,10 @@ impl CompletionSink {
 
 /// Streaming micro-batching inference server.  See the module docs.
 pub struct StreamServer {
-    engine: Arc<EngineShared>,
-    router: Router,
-    replicas: Vec<Arc<ReplicaShared>>,
-    dispatchers: Vec<JoinHandle<()>>,
-    started: Instant,
+    shared: Arc<ReplicaShared>,
+    dispatcher: Option<JoinHandle<()>>,
+    /// Submissions refused because the queue was full.
+    rejected: AtomicU64,
     shutting_down: AtomicBool,
     recorder: Arc<SpanRecorder>,
 }
@@ -246,8 +221,7 @@ pub struct StreamServer {
 impl fmt::Debug for StreamServer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StreamServer")
-            .field("options", &self.engine.options)
-            .field("replicas", &self.replicas.len())
+            .field("options", &self.shared.engine.options)
             .finish_non_exhaustive()
     }
 }
@@ -265,16 +239,14 @@ impl StreamServer {
     }
 
     /// Starts a server with explicit options: the model is compiled once
-    /// and [`ServerOptions::replicas`] engine replicas are spawned over
-    /// the shared program.
+    /// and one dispatcher thread is spawned over the program.
     ///
     /// # Errors
     ///
     /// Returns [`AccelError::InvalidConfig`] for degenerate options — a
-    /// `max_batch` of `0` (the dispatcher could never drain a micro-batch),
-    /// a `queue_capacity` of `0` (every submission would be rejected) or
-    /// `replicas` of `0` (no engine could ever serve) — and otherwise the
-    /// errors of [`StreamServer::start`].
+    /// `max_batch` of `0` (the dispatcher could never drain a micro-batch)
+    /// or a `queue_capacity` of `0` (every submission would be rejected) —
+    /// and otherwise the errors of [`StreamServer::start`].
     pub fn start_with(
         config: AcceleratorConfig,
         model: SnnModel,
@@ -294,48 +266,29 @@ impl StreamServer {
                     .to_string(),
             });
         }
-        if options.replicas == 0 {
-            return Err(AccelError::InvalidConfig {
-                context: "ServerOptions::replicas is 0: no engine replica could ever serve \
-                          a submission"
-                    .to_string(),
-            });
-        }
         let accel = Accelerator::new(config);
         let program = accel.compile(&model)?;
-        let engine = Arc::new(EngineShared {
+        let shared = Arc::new(ReplicaShared::new(EngineShared {
             accel,
             model,
             program,
             options,
-        });
-        // Partition the global budget evenly; every replica gets at least
-        // one thread (oversubscription by at most replicas − budget when
-        // replicas exceed the budget, which serialises but stays correct).
-        let thread_share = (snn_parallel::budget().total() / options.replicas).max(1);
-        let mut replicas = Vec::with_capacity(options.replicas);
-        let mut dispatchers = Vec::with_capacity(options.replicas);
-        for index in 0..options.replicas {
-            let shared = Arc::new(ReplicaShared::new(index, Arc::clone(&engine), thread_share));
-            replicas.push(Arc::clone(&shared));
-            let handle = thread::Builder::new()
-                .name(format!("snn-serve-rep{index}"))
-                .spawn(move || replica::run(&shared))
-                .expect("spawn replica dispatcher thread");
-            dispatchers.push(handle);
-        }
+        }));
+        let dispatcher_shared = Arc::clone(&shared);
+        let dispatcher = thread::Builder::new()
+            .name("snn-serve-dispatch".to_string())
+            .spawn(move || replica::run(&dispatcher_shared))
+            .expect("spawn dispatcher thread");
         Ok(StreamServer {
-            engine,
-            router: Router::new(replicas.clone()),
-            replicas,
-            dispatchers,
-            started: Instant::now(),
+            shared,
+            dispatcher: Some(dispatcher),
+            rejected: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
-            recorder: Arc::new(SpanRecorder::new(options.replicas, options.trace)),
+            recorder: Arc::new(SpanRecorder::new(options.trace)),
         })
     }
 
-    /// The server's span recorder: per-replica phase histograms and the
+    /// The server's span recorder: phase histograms and the
     /// ring buffer of completed [`snn_telemetry::RequestTrace`]s.  A
     /// front-end drains it for the JSONL trace export and renders its
     /// histograms into the Prometheus exposition.  Disabled
@@ -348,15 +301,15 @@ impl StreamServer {
     /// Enqueues one input for inference and returns its [`Ticket`].
     ///
     /// Never blocks: admission is governed by the bounded-queue policy in
-    /// the module docs; the router picks the least-loaded healthy replica.
+    /// the module docs.
     ///
     /// # Errors
     ///
-    /// Returns [`AccelError::QueueFull`] when every healthy replica's
-    /// queue already holds [`ServerOptions::queue_capacity`] undispatched
-    /// inputs (the rejection is also counted in [`ServerStats::rejected`]),
-    /// and [`AccelError::Serving`] when the server has begun shutting down
-    /// or no replica is healthy.
+    /// Returns [`AccelError::QueueFull`] when the queue already holds
+    /// [`ServerOptions::queue_capacity`] undispatched inputs (the rejection
+    /// is also counted in [`ServerStats::rejected`]), and
+    /// [`AccelError::Serving`] when the server has begun shutting down or
+    /// its engine is down.
     pub fn submit(&self, input: Tensor<f32>) -> Result<Ticket> {
         self.submit_within(input, None)
     }
@@ -447,19 +400,23 @@ impl StreamServer {
                 context: "server is shutting down and no longer accepts submissions".to_string(),
             });
         }
-        let deadline = match (deadline, self.engine.options.max_queue_wait) {
+        let deadline = match (deadline, self.shared.engine.options.max_queue_wait) {
             (Some(request), Some(server)) => Some(request.min(server)),
             (Some(request), None) => Some(request),
             (None, server) => server,
         };
         trace.advance(Phase::Route);
-        self.router.place(Submission {
+        let admitted = self.shared.try_enqueue(Submission {
             input,
             reply,
             enqueued_at: Instant::now(),
             deadline,
             trace,
-        })
+        });
+        if let Err(AccelError::QueueFull { .. }) = admitted {
+            self.rejected.fetch_add(1, Ordering::SeqCst);
+        }
+        admitted
     }
 
     /// Submits all `inputs` and waits for all results, in order.
@@ -477,99 +434,52 @@ impl StreamServer {
         tickets.into_iter().map(Ticket::wait).collect()
     }
 
-    /// Cheap point-in-time queue-load snapshot aggregated over the
-    /// **healthy** replicas: depths, capacities and recent drain rates
-    /// summed — the inputs of a retry-after hint.  All zeros when no
-    /// replica is healthy.  Takes each replica's queue and stats locks
-    /// briefly (never both at once) and allocates nothing.
+    /// Cheap point-in-time queue-load snapshot: depth, capacity and
+    /// recent drain rate — the inputs of a retry-after hint.  Takes the
+    /// queue and stats locks briefly (never both at once) and allocates
+    /// nothing.
     pub fn queue_snapshot(&self) -> QueueSnapshot {
-        let mut snapshot = QueueSnapshot {
-            depth: 0,
-            capacity: 0,
-            drain_rate_ips: 0.0,
-        };
-        for replica in &self.replicas {
-            if !replica.healthy.load(Ordering::SeqCst) {
-                continue;
-            }
-            snapshot.depth += relock(&replica.queue).jobs.len();
-            snapshot.capacity += self.engine.options.queue_capacity;
-            snapshot.drain_rate_ips += relock(&replica.stats).drain_rate_ips(replica.started);
+        QueueSnapshot {
+            depth: relock(&self.shared.queue).jobs.len(),
+            capacity: self.shared.engine.options.queue_capacity,
+            drain_rate_ips: relock(&self.shared.stats).drain_rate_ips(self.shared.started),
         }
-        snapshot
     }
 
-    /// How many replica dispatchers are alive and accepting placements —
-    /// the lock-free health probe a front-end polls.
-    pub fn healthy_replicas(&self) -> usize {
-        self.replicas
-            .iter()
-            .filter(|r| r.healthy.load(Ordering::SeqCst))
-            .count()
+    /// Whether the engine's dispatcher is alive — the lock-free health
+    /// probe a front-end polls.  `false` once the supervisor caught a
+    /// dispatcher panic (see the module docs on engine death).
+    pub fn is_healthy(&self) -> bool {
+        self.shared.healthy.load(Ordering::SeqCst)
     }
 
-    /// Snapshot of the serving statistics: aggregate counters plus the
-    /// per-replica slices (see [`ServerStats`]).
+    /// Snapshot of the serving statistics (see [`ServerStats`]).
     pub fn stats(&self) -> ServerStats {
-        let options = &self.engine.options;
-        let mut per_replica = Vec::with_capacity(self.replicas.len());
-        for replica in &self.replicas {
-            let healthy = replica.healthy.load(Ordering::SeqCst);
-            let depth = relock(&replica.queue).jobs.len();
-            let accum = relock(&replica.stats);
-            per_replica.push(ReplicaStats {
-                index: replica.index,
-                healthy,
-                completed: accum.completed,
-                errors: accum.errors,
-                batches: accum.batches,
-                largest_batch: accum.largest_batch,
-                panics: accum.panics,
-                deadline_sheds: accum.deadline_sheds,
-                queue: QueueSnapshot {
-                    depth,
-                    capacity: options.queue_capacity,
-                    drain_rate_ips: accum.drain_rate_ips(replica.started),
-                },
-            });
-        }
-        let healthy_replicas = per_replica.iter().filter(|r| r.healthy).count();
-        let mut queue = QueueSnapshot {
-            depth: 0,
-            capacity: 0,
-            drain_rate_ips: 0.0,
-        };
-        for r in per_replica.iter().filter(|r| r.healthy) {
-            queue.depth += r.queue.depth;
-            queue.capacity += r.queue.capacity;
-            queue.drain_rate_ips += r.queue.drain_rate_ips;
-        }
+        let options = &self.shared.engine.options;
+        let queue = self.queue_snapshot();
+        let accum = relock(&self.shared.stats);
         ServerStats {
-            completed: per_replica.iter().map(|r| r.completed).sum(),
-            errors: per_replica.iter().map(|r| r.errors).sum(),
-            batches: per_replica.iter().map(|r| r.batches).sum(),
-            largest_batch: per_replica
-                .iter()
-                .map(|r| r.largest_batch)
-                .max()
-                .unwrap_or(0),
-            rejected: self.router.rejected.load(Ordering::SeqCst),
-            panics: per_replica.iter().map(|r| r.panics).sum(),
-            deadline_sheds: per_replica.iter().map(|r| r.deadline_sheds).sum(),
+            completed: accum.completed,
+            errors: accum.errors,
+            batches: accum.batches,
+            largest_batch: accum.largest_batch,
+            rejected: self.rejected.load(Ordering::SeqCst),
+            panics: accum.panics,
+            deadline_sheds: accum.deadline_sheds,
             queue,
             max_batch: options.max_batch,
             queue_capacity: options.queue_capacity,
-            replicas: self.replicas.len(),
-            healthy_replicas,
-            per_replica,
             thread_budget: snn_parallel::budget().total(),
-            elapsed_s: self.started.elapsed().as_secs_f64(),
-            utilisation: utilisation_from_program(self.engine.accel.config(), &self.engine.program),
+            elapsed_s: self.shared.started.elapsed().as_secs_f64(),
+            utilisation: utilisation_from_program(
+                self.shared.engine.accel.config(),
+                &self.shared.engine.program,
+            ),
         }
     }
 
-    /// Drains the queues, stops every replica dispatcher and returns the
-    /// final statistics.  Queued-but-undispatched submissions are still
+    /// Drains the queue, stops the dispatcher and returns the final
+    /// statistics.  Queued-but-undispatched submissions are still
     /// served; submissions after shutdown starts are not.
     pub fn shutdown(mut self) -> ServerStats {
         self.stop();
@@ -578,13 +488,11 @@ impl StreamServer {
 
     fn stop(&mut self) {
         self.shutting_down.store(true, Ordering::SeqCst);
-        for replica in &self.replicas {
-            replica.begin_shutdown();
-        }
-        for handle in self.dispatchers.drain(..) {
-            // Replica panics are caught by the in-thread supervisor, so a
-            // join error would mean the supervisor itself died; nothing is
-            // left to salvage from that thread either way.
+        self.shared.begin_shutdown();
+        if let Some(handle) = self.dispatcher.take() {
+            // Dispatcher panics are caught by the in-thread supervisor, so
+            // a join error would mean the supervisor itself died; nothing
+            // is left to salvage from that thread either way.
             let _ = handle.join();
         }
     }
@@ -603,12 +511,13 @@ impl Drop for StreamServer {
 ///
 /// * the **poison pill** ([`poison::PILL_BITS`]) panics *inside* the
 ///   micro-batch's per-item unwind guard, exercising the item-level
-///   `EnginePanic` isolation path — one inference fails, the replica
+///   `EnginePanic` isolation path — one inference fails, the engine
 ///   survives;
 /// * the **kill pill** ([`poison::KILL_BITS`]) panics *outside* that
-///   guard, in the dispatcher itself, exercising the replica supervisor —
-///   the whole replica dies, its stranded submissions settle with
-///   [`AccelError::ReplicaDown`], and sibling replicas keep serving.
+///   guard, in the dispatcher itself, exercising the supervisor — the
+///   engine dies, its stranded submissions settle with
+///   [`AccelError::ReplicaDown`], and later submissions fail with
+///   [`AccelError::Serving`].
 ///
 /// Both sentinels are quiet NaNs, so they round-trip bit-exactly through
 /// the `snn-net` wire protocol and can be injected by a remote chaos
@@ -622,7 +531,7 @@ pub mod poison {
     /// collides.
     pub const PILL_BITS: u32 = 0x7fc0_dead;
 
-    /// Bit pattern of the replica-killing sentinel (a different quiet-NaN
+    /// Bit pattern of the engine-killing sentinel (a different quiet-NaN
     /// payload than [`PILL_BITS`]).
     pub const KILL_BITS: u32 = 0x7fc1_dead;
 
@@ -632,7 +541,7 @@ pub mod poison {
     }
 
     /// The kill-pill value a test writes into an input's first element to
-    /// bring down the whole replica that dequeues it.
+    /// bring down the engine that dequeues it.
     pub fn kill_pill() -> f32 {
         f32::from_bits(KILL_BITS)
     }
@@ -647,10 +556,10 @@ pub mod poison {
 
     /// Panics when `input` leads with the kill-pill sentinel.  Called
     /// **outside** the per-item guard, so the unwind escapes the dispatch
-    /// loop and lands in the replica supervisor.
+    /// loop and lands in the supervisor.
     pub(crate) fn check_kill(input: &Tensor<f32>) {
         if input.as_slice().first().map(|v| v.to_bits()) == Some(KILL_BITS) {
-            panic!("fault-injection kill pill: replica dispatcher going down");
+            panic!("fault-injection kill pill: dispatcher going down");
         }
     }
 }
@@ -704,55 +613,6 @@ mod tests {
         assert!(stats.batches >= 1);
         assert!(stats.largest_batch <= stats.max_batch);
         assert!(!stats.utilisation.is_empty());
-    }
-
-    #[test]
-    fn replicated_server_matches_single_replica_bit_exactly() {
-        let (model, inputs) = tiny_setup(3);
-        let config = AcceleratorConfig::default();
-        let solo = Accelerator::new(config);
-        let server = StreamServer::start_with(
-            config,
-            model.clone(),
-            ServerOptions {
-                replicas: 2,
-                ..ServerOptions::default()
-            },
-        )
-        .unwrap();
-        let served = server.run_all(&inputs).unwrap();
-        for (report, input) in served.iter().zip(&inputs) {
-            assert_eq!(report, &solo.run(&model, input).unwrap());
-        }
-        let stats = server.shutdown();
-        assert_eq!(stats.replicas, 2);
-        assert_eq!(stats.healthy_replicas, 2);
-        assert_eq!(stats.per_replica.len(), 2);
-        assert_eq!(stats.completed, inputs.len() as u64);
-        assert_eq!(
-            stats.per_replica.iter().map(|r| r.completed).sum::<u64>(),
-            stats.completed,
-            "aggregate counters are the sum of the replica slices"
-        );
-        assert!(stats.per_replica.iter().all(|r| r.healthy));
-    }
-
-    #[test]
-    fn zero_replicas_are_rejected_at_construction() {
-        let (model, _) = tiny_setup(3);
-        match StreamServer::start_with(
-            AcceleratorConfig::default(),
-            model,
-            ServerOptions {
-                replicas: 0,
-                ..ServerOptions::default()
-            },
-        ) {
-            Err(AccelError::InvalidConfig { context }) => {
-                assert!(context.contains("ServerOptions"), "context: {context}");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1180,65 +1040,39 @@ mod tests {
 
     #[cfg(feature = "fault-injection")]
     #[test]
-    fn killed_replica_strands_only_its_requests_while_the_sibling_serves() {
-        let (model, inputs) = tiny_setup(3);
-        let config = AcceleratorConfig::default();
-        let server = StreamServer::start_with(
-            config,
-            model.clone(),
-            ServerOptions {
-                replicas: 2,
-                ..ServerOptions::default()
-            },
-        )
-        .unwrap();
-        let mut kill_values = inputs[0].as_slice().to_vec();
-        kill_values[0] = poison::kill_pill();
-        let kill = Tensor::from_vec(vec![1, 12, 12], kill_values).unwrap();
-        let doomed = server.submit(kill).unwrap();
-        match doomed.wait() {
-            Err(AccelError::ReplicaDown { replica, context }) => {
-                assert!(replica < 2, "replica index in range: {replica}");
-                assert!(context.contains("dispatcher died"), "context: {context}");
-            }
-            other => panic!("expected ReplicaDown, got {other:?}"),
-        }
-        // One replica is gone; the sibling keeps serving, bit-exactly.
-        assert_eq!(server.healthy_replicas(), 1);
-        let solo = Accelerator::new(config);
-        for input in &inputs {
-            let report = server.submit(input.clone()).unwrap().wait().unwrap();
-            assert_eq!(report, solo.run(&model, input).unwrap());
-        }
-        let stats = server.shutdown();
-        assert_eq!(stats.replicas, 2);
-        assert_eq!(stats.healthy_replicas, 1);
-        assert_eq!(stats.completed, inputs.len() as u64);
-        assert_eq!(
-            stats.per_replica.iter().filter(|r| !r.healthy).count(),
-            1,
-            "exactly one replica died"
-        );
-        let dead = stats.per_replica.iter().find(|r| !r.healthy).unwrap();
-        assert_eq!(dead.queue.depth, 0, "the dead replica was drained");
-    }
-
-    #[cfg(feature = "fault-injection")]
-    #[test]
     fn killing_the_last_replica_turns_new_submissions_into_serving_errors() {
         let (model, inputs) = tiny_setup(3);
         let server = StreamServer::start(AcceleratorConfig::default(), model).unwrap();
         let mut kill_values = inputs[0].as_slice().to_vec();
         kill_values[0] = poison::kill_pill();
         let kill = Tensor::from_vec(vec![1, 12, 12], kill_values).unwrap();
+        assert!(server.is_healthy());
         let doomed = server.submit(kill).unwrap();
+        // Submissions racing the death either queue behind the pill (the
+        // supervisor settles them) or are refused at admission; none can
+        // be served, since the queue is FIFO.
+        let racing: Vec<Result<Ticket>> = inputs[1..4]
+            .iter()
+            .map(|input| server.submit(input.clone()))
+            .collect();
         match doomed.wait() {
-            Err(AccelError::ReplicaDown { replica: 0, .. }) => {}
+            Err(AccelError::ReplicaDown { context }) => {
+                assert!(context.contains("dispatcher died"), "context: {context}");
+            }
             other => panic!("expected ReplicaDown, got {other:?}"),
         }
-        assert_eq!(server.healthy_replicas(), 0);
-        let snapshot = server.queue_snapshot();
-        assert_eq!((snapshot.depth, snapshot.capacity), (0, 0));
+        for submitted in racing {
+            match submitted.map(Ticket::wait) {
+                Ok(Err(AccelError::ReplicaDown { .. })) | Err(AccelError::Serving { .. }) => {}
+                other => panic!("expected ReplicaDown or Serving, got {other:?}"),
+            }
+        }
+        assert!(!server.is_healthy());
+        assert_eq!(
+            server.queue_snapshot().depth,
+            0,
+            "the dead engine was drained"
+        );
         match server.submit(inputs[1].clone()) {
             Err(AccelError::Serving { context }) => {
                 assert!(context.contains("down"), "context: {context}");
@@ -1246,7 +1080,11 @@ mod tests {
             other => panic!("expected Serving, got {other:?}"),
         }
         let stats = server.shutdown();
-        assert_eq!(stats.healthy_replicas, 0);
+        assert_eq!(stats.completed, 0);
+        assert_eq!(
+            stats.rejected, 0,
+            "refusing a dead engine is not backpressure"
+        );
     }
 
     #[test]

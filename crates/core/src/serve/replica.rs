@@ -1,21 +1,19 @@
-//! The per-replica engine loop: one bounded submission queue, one
-//! dispatcher thread, one share of the global thread budget.
+//! The engine loop: one bounded submission queue, one dispatcher thread.
 //!
-//! A [`crate::serve::StreamServer`] compiles its model **once** and spawns
-//! [`crate::serve::ServerOptions::replicas`] of these engines over the
-//! shared compiled program — the E3NE scaling move of instantiating
-//! multiple inference engines from one compiled network.  Each replica is
-//! the old single-engine server in miniature: micro-batch draining,
+//! A [`crate::serve::StreamServer`] compiles its model **once** and runs
+//! one of these engines over the compiled program: micro-batch draining,
 //! deadline shedding before compute, per-item panic isolation and
-//! stats-before-settle ordering all live here, unchanged in behaviour.
+//! stats-before-settle ordering all live here.  The throughput comes from
+//! parallelism *inside* the engine — each micro-batch fans out over the
+//! whole global thread budget — not from duplicate engines.
 //!
-//! What is new is the **supervisor**: the dispatcher body runs under
-//! `catch_unwind`, so a panic that escapes the per-item guard (a bug in
-//! the dispatcher itself, or the fault-injection *kill pill*) takes down
-//! only this replica.  The supervisor marks it unhealthy, closes its
-//! queue, and settles every queued and in-flight submission with the
-//! typed [`AccelError::ReplicaDown`] — clients get an answer, the router
-//! stops placing work here, and sibling replicas keep serving.
+//! The dispatcher body runs under a **supervisor** (`catch_unwind`), so a
+//! panic that escapes the per-item guard (a bug in the dispatcher itself,
+//! or the fault-injection *kill pill*) cannot strand a client.  The
+//! supervisor marks the engine unhealthy, closes its queue, and settles
+//! every queued and in-flight submission with the typed
+//! [`AccelError::ReplicaDown`]; later submissions are refused with
+//! [`AccelError::Serving`].
 
 use super::stats::StatsAccum;
 use super::{CompletionSink, ServerOptions};
@@ -32,7 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Locks a replica-owned mutex, tolerating poison: a dispatcher that
+/// Locks an engine-owned mutex, tolerating poison: a dispatcher that
 /// panicked mid-batch leaves its locks poisoned, and the supervisor (and
 /// any stats reader) must still be able to walk the wreckage to settle
 /// stranded submissions and report counters.
@@ -78,20 +76,27 @@ fn outcome_of(result: &Result<RunReport>) -> Outcome {
         Ok(report) => Outcome::Scores {
             total_cycles: report.total_cycles(),
         },
-        Err(AccelError::DeadlineExceeded { .. }) => Outcome::Rejected {
+        Err(err) => error_outcome(err),
+    }
+}
+
+/// The trace outcome of a request that ended in `err`.
+fn error_outcome(err: &AccelError) -> Outcome {
+    match err {
+        AccelError::DeadlineExceeded { .. } => Outcome::Rejected {
             scope: "deadline".to_string(),
         },
-        Err(AccelError::QueueFull { .. }) => Outcome::Rejected {
+        AccelError::QueueFull { .. } => Outcome::Rejected {
             scope: "queue".to_string(),
         },
-        Err(AccelError::EnginePanic { .. }) => Outcome::Error {
+        AccelError::EnginePanic { .. } => Outcome::Error {
             code: "engine_panic".to_string(),
         },
-        Err(AccelError::ReplicaDown { .. }) => Outcome::ReplicaDown,
-        Err(AccelError::Serving { .. }) => Outcome::Error {
+        AccelError::ReplicaDown { .. } => Outcome::ReplicaDown,
+        AccelError::Serving { .. } => Outcome::Error {
             code: "serving".to_string(),
         },
-        Err(_) => Outcome::Error {
+        _ => Outcome::Error {
             code: "bad_request".to_string(),
         },
     }
@@ -128,19 +133,19 @@ impl Submission {
     }
 }
 
-/// A replica's bounded submission queue plus its shutdown latch.
+/// The engine's bounded submission queue plus its shutdown latch.
 #[derive(Default)]
 pub(crate) struct SubmissionQueue {
     pub(crate) jobs: VecDeque<Submission>,
-    /// Set on server shutdown — and by the supervisor when this replica
-    /// dies, which is what makes a drained replica refuse new placements
+    /// Set on server shutdown — and by the supervisor when the dispatcher
+    /// dies, which is what makes a dead engine refuse new submissions
     /// without a race: both the drain and every admission hold the queue
     /// lock.
     pub(crate) shutdown: bool,
 }
 
-/// The compile-once state every replica shares: one accelerator, one
-/// model, one program, one set of options.
+/// The compile-once state: one accelerator, one model, one program, one
+/// set of options.
 pub(crate) struct EngineShared {
     pub(crate) accel: Accelerator,
     pub(crate) model: SnnModel,
@@ -148,44 +153,26 @@ pub(crate) struct EngineShared {
     pub(crate) options: ServerOptions,
 }
 
-/// Why [`ReplicaShared::try_enqueue`] refused a submission.
-pub(crate) enum EnqueueRejection {
-    /// The replica's bounded queue is at capacity; `queued` is the depth
-    /// observed under the lock.
-    Full {
-        /// Undispatched submissions in the queue at rejection time.
-        queued: usize,
-    },
-    /// The replica is shut down or dead and accepts nothing.
-    Down,
-}
-
-/// One replica engine: queue, dispatcher handshake, stats and health.
+/// The serving engine: compiled program, queue, dispatcher handshake,
+/// stats and health.
 pub(crate) struct ReplicaShared {
-    /// Replica index (`0..ServerOptions::replicas`), used in error
-    /// contexts and stats labels.
-    pub(crate) index: usize,
-    pub(crate) engine: Arc<EngineShared>,
+    pub(crate) engine: EngineShared,
     pub(crate) queue: Mutex<SubmissionQueue>,
     pub(crate) ready: Condvar,
     pub(crate) stats: Mutex<StatsAccum>,
-    /// Cleared by the supervisor when the dispatcher dies; the router
-    /// reads it lock-free when building placement views.
+    /// Cleared by the supervisor when the dispatcher dies; read lock-free
+    /// by [`crate::serve::StreamServer::is_healthy`].
     pub(crate) healthy: AtomicBool,
     /// The micro-batch currently executing.  The dispatcher parks each
     /// batch here for the duration of the compute so the supervisor can
     /// settle exactly these submissions if the dispatcher dies mid-batch.
     pub(crate) in_flight: Mutex<Vec<Submission>>,
     pub(crate) started: Instant,
-    /// This replica's slice of the global thread budget: micro-batch
-    /// workers are capped at this many threads.
-    pub(crate) thread_share: usize,
 }
 
 impl ReplicaShared {
-    pub(crate) fn new(index: usize, engine: Arc<EngineShared>, thread_share: usize) -> Self {
+    pub(crate) fn new(engine: EngineShared) -> Self {
         ReplicaShared {
-            index,
             engine,
             queue: Mutex::new(SubmissionQueue::default()),
             ready: Condvar::new(),
@@ -193,34 +180,47 @@ impl ReplicaShared {
             healthy: AtomicBool::new(true),
             in_flight: Mutex::new(Vec::new()),
             started: Instant::now(),
-            thread_share: thread_share.max(1),
         }
     }
 
-    /// Attempts to admit `submission` into this replica's bounded queue.
-    /// Never blocks beyond the queue lock; on rejection the submission is
-    /// handed back so the router can try a sibling.
-    // The Err variant deliberately hands the whole submission back for
-    // rerouting; boxing it would buy nothing (the Ok path is the hot one)
-    // and cost an allocation per spill-over.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn try_enqueue(
-        &self,
-        submission: Submission,
-    ) -> std::result::Result<(), (Submission, EnqueueRejection)> {
-        {
-            let mut queue = relock(&self.queue);
-            if queue.shutdown || !self.healthy.load(Ordering::SeqCst) {
-                return Err((submission, EnqueueRejection::Down));
+    /// Admits `submission` into the bounded queue, or refuses it.  Never
+    /// blocks beyond the queue lock.  The trace is routed under that lock
+    /// (it records the depth the submission queued behind) and enters
+    /// [`Phase::QueueWait`] just before the push; a refused submission's
+    /// trace is finished here and it produces no completion.
+    ///
+    /// # Errors
+    ///
+    /// [`AccelError::QueueFull`] when the queue already holds
+    /// [`ServerOptions::queue_capacity`] submissions, and
+    /// [`AccelError::Serving`] once the queue is shut down (server stop,
+    /// or a dead dispatcher).
+    pub(crate) fn try_enqueue(&self, mut submission: Submission) -> Result<()> {
+        let capacity = self.engine.options.queue_capacity;
+        let mut queue = relock(&self.queue);
+        let queued = queue.jobs.len();
+        let err = if queue.shutdown {
+            let context = if self.healthy.load(Ordering::SeqCst) {
+                "server is shutting down and no longer accepts submissions"
+            } else {
+                "the engine is down; the server cannot serve until it is restarted"
+            };
+            AccelError::Serving {
+                context: context.to_string(),
             }
-            if queue.jobs.len() >= self.engine.options.queue_capacity {
-                let queued = queue.jobs.len();
-                return Err((submission, EnqueueRejection::Full { queued }));
-            }
+        } else if queued >= capacity {
+            AccelError::QueueFull { queued, capacity }
+        } else {
+            submission.trace.note_route(queued);
+            submission.trace.advance(Phase::QueueWait);
             queue.jobs.push_back(submission);
-        }
-        self.ready.notify_one();
-        Ok(())
+            drop(queue);
+            self.ready.notify_one();
+            return Ok(());
+        };
+        drop(queue);
+        submission.trace.finish(error_outcome(&err));
+        Err(err)
     }
 
     /// Marks the queue shut down and wakes the dispatcher (server stop).
@@ -230,15 +230,15 @@ impl ReplicaShared {
     }
 }
 
-/// The replica thread body: the dispatch loop under its supervisor.
+/// The dispatcher thread body: the dispatch loop under its supervisor.
 ///
-/// A normal return (server shutdown) leaves the replica healthy.  A panic
+/// A normal return (server shutdown) leaves the engine healthy.  A panic
 /// that unwinds out of the dispatch loop — past the per-item guard — is
-/// caught here: the replica is marked unhealthy, its queue is closed, and
+/// caught here: the engine is marked unhealthy, its queue is closed, and
 /// every queued and in-flight submission settles with
 /// [`AccelError::ReplicaDown`].  Those settles are supervision, not
-/// inference outcomes, so they are **not** counted in the replica's
-/// `errors`; the health flag and the typed error carry the story.
+/// inference outcomes, so they are **not** counted in `errors`; the
+/// health flag and the typed error carry the story.
 pub(crate) fn run(shared: &Arc<ReplicaShared>) {
     let outcome = catch_unwind(AssertUnwindSafe(|| dispatch_loop(shared)));
     if outcome.is_ok() {
@@ -251,15 +251,11 @@ pub(crate) fn run(shared: &Arc<ReplicaShared>) {
         queue.jobs.drain(..).collect()
     };
     let in_flight: Vec<Submission> = std::mem::take(&mut *relock(&shared.in_flight));
-    let context = format!(
-        "replica {} dispatcher died mid-batch; the submission was drained unserved \
-         (siblings keep serving — resubmit to be rerouted)",
-        shared.index
-    );
+    let context = "the dispatcher died mid-batch; the submission was drained unserved \
+                   (later submissions are refused until the server is restarted)";
     for submission in in_flight.into_iter().chain(queued) {
         submission.settle(Err(AccelError::ReplicaDown {
-            replica: shared.index,
-            context: context.clone(),
+            context: context.to_string(),
         }));
     }
 }
@@ -336,12 +332,11 @@ fn dispatch_loop(shared: &ReplicaShared) {
             submission.trace.advance(Phase::Compute);
         }
 
-        // Execute the micro-batch over this replica's slice of the worker
-        // pool.  Each item runs under its own unwind guard: a panicking
+        // Execute the micro-batch over the whole worker pool.  Each item runs under its own unwind guard: a panicking
         // inference fails only itself with the typed `EnginePanic`, never
         // the dispatcher (snn-parallel would otherwise re-raise the task
         // panic here and kill the serving loop).
-        let threads = shared.thread_share.min(in_flight.len());
+        let threads = snn_parallel::budget().total().min(in_flight.len());
         let reports = snn_parallel::par_map(&in_flight, threads, |_, submission| {
             snn_parallel::catch_panic_message(|| {
                 #[cfg(feature = "fault-injection")]

@@ -1,8 +1,8 @@
-//! Serving statistics: per-replica accumulators, queue snapshots, the
-//! windowed drain-rate estimate, and the aggregated [`ServerStats`] view.
+//! Serving statistics: the dispatcher's accumulator, queue snapshots, the
+//! windowed drain-rate estimate, and the [`ServerStats`] view.
 //!
-//! The drain rate is the router's placement input and the source of every
-//! retry-after hint, so its math lives here as the **pure** function
+//! The drain rate is the source of every retry-after hint, so its math
+//! lives here as the **pure** function
 //! [`drain_rate`] — callable without a server, which is how
 //! `crates/core/tests/drain_rate_properties.rs` pins it against a
 //! hand-stepped model (windowed rate, lifetime fallback, empty-window
@@ -23,8 +23,7 @@ pub const DEFAULT_RETRY_AFTER_MS: u64 = 100;
 /// Upper clamp of [`QueueSnapshot::retry_after_ms`] (one minute).
 pub const MAX_RETRY_AFTER_MS: u64 = 60_000;
 
-/// Per-replica cumulative counters, updated by that replica's dispatcher
-/// under its stats lock.
+/// Cumulative counters, updated by the dispatcher under the stats lock.
 pub(crate) struct StatsAccum {
     pub(crate) completed: u64,
     pub(crate) errors: u64,
@@ -51,7 +50,7 @@ impl StatsAccum {
         }
     }
 
-    /// The replica's drain rate right now (see [`drain_rate`]).
+    /// The engine's drain rate right now (see [`drain_rate`]).
     pub(crate) fn drain_rate_ips(&self, started: Instant) -> f64 {
         drain_rate(
             &self.recent,
@@ -76,7 +75,7 @@ impl StatsAccum {
 /// records, oldest first, as maintained by the dispatcher (capped at
 /// [`DRAIN_WINDOW_BATCHES`] entries); `lifetime_settled` is the cumulative
 /// `completed + errors` count and `lifetime_elapsed` the wall-clock age of
-/// the replica.
+/// the engine.
 pub fn drain_rate(
     recent: &VecDeque<(Instant, u64)>,
     lifetime_settled: u64,
@@ -102,19 +101,17 @@ pub fn drain_rate(
 /// is, how big it may grow, and how fast the dispatcher has recently been
 /// draining it.
 ///
-/// Produced per replica and aggregated by
-/// [`crate::serve::StreamServer::queue_snapshot`] (short lock holds, no
-/// allocation).  This is the signal the router places requests by and a
-/// network front-end turns into *retry-after* hints on rejected
-/// submissions, closing the loop on the reject-when-full admission policy:
+/// Produced by [`crate::serve::StreamServer::queue_snapshot`] (short lock
+/// holds, no allocation).  This is the signal a network front-end turns
+/// into *retry-after* hints on rejected submissions, closing the loop on the reject-when-full admission policy:
 /// a shed client learns not just that the server is full but when capacity
 /// is likely to reappear.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueSnapshot {
     /// Submissions currently queued and not yet dispatched.
     pub depth: usize,
-    /// Configured queue capacity ([`crate::serve::ServerOptions::queue_capacity`]
-    /// per replica; the aggregate snapshot sums the healthy replicas').
+    /// Configured queue capacity
+    /// ([`crate::serve::ServerOptions::queue_capacity`]).
     pub capacity: usize,
     /// Recent drain rate in inferences per second: inferences settled
     /// across the last [`DRAIN_WINDOW_BATCHES`] micro-batches divided by
@@ -149,47 +146,18 @@ impl QueueSnapshot {
     }
 }
 
-/// One replica engine's slice of the serving statistics — the `replica`
-/// label's worth of a Prometheus exposition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplicaStats {
-    /// Replica index (`0..ServerOptions::replicas`).
-    pub index: usize,
-    /// `false` once this replica's dispatcher died (a replica-level panic
-    /// caught by its supervisor); its queued and in-flight submissions were
-    /// settled with [`crate::AccelError::ReplicaDown`] and the router no
-    /// longer places work on it.
-    pub healthy: bool,
-    /// Inferences this replica completed successfully.
-    pub completed: u64,
-    /// Inferences this replica settled with an error.
-    pub errors: u64,
-    /// Micro-batches this replica dispatched.
-    pub batches: u64,
-    /// Largest micro-batch this replica dispatched.
-    pub largest_batch: usize,
-    /// Engine panics caught at this replica's micro-batch item boundary.
-    pub panics: u64,
-    /// Submissions this replica shed for an expired queue-wait deadline.
-    pub deadline_sheds: u64,
-    /// This replica's live queue snapshot.
-    pub queue: QueueSnapshot,
-}
-
-/// Snapshot of a server's serving statistics, aggregated across replicas.
+/// Snapshot of a server's serving statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerStats {
-    /// Inferences completed successfully (summed over replicas).
+    /// Inferences completed successfully.
     pub completed: u64,
-    /// Inferences that returned an error (summed over replicas).
+    /// Inferences that returned an error.
     pub errors: u64,
-    /// Micro-batches dispatched (summed over replicas).
+    /// Micro-batches dispatched.
     pub batches: u64,
-    /// Largest micro-batch dispatched so far by any replica.
+    /// Largest micro-batch dispatched so far.
     pub largest_batch: usize,
-    /// Submissions rejected by the bounded-queue admission policy (counted
-    /// at the router: a rejection means **every** healthy replica was
-    /// full).
+    /// Submissions rejected by the bounded-queue admission policy.
     pub rejected: u64,
     /// Engine panics caught at the micro-batch item boundary: each one
     /// failed exactly one inference with [`crate::AccelError::EnginePanic`]
@@ -202,39 +170,26 @@ pub struct ServerStats {
     /// these are backpressure and are *not* counted in `errors` or
     /// `completed`.
     pub deadline_sheds: u64,
-    /// Aggregated queue-depth / drain-rate snapshot (depths, capacities
-    /// and drain rates summed over the healthy replicas).  The drain rate
-    /// is windowed over the most recent [`DRAIN_WINDOW_BATCHES`]
-    /// micro-batch completions of each replica, measured
-    /// completion-to-completion so idle lulls do not decay it; with fewer
-    /// than two windowed batches a replica falls back to its lifetime
-    /// average.  Across successive snapshots the cumulative counters in
+    /// Queue-depth / drain-rate snapshot.  The drain rate is windowed
+    /// over the most recent [`DRAIN_WINDOW_BATCHES`] micro-batch
+    /// completions, measured completion-to-completion so idle lulls do
+    /// not decay it; with fewer than two windowed batches it falls back
+    /// to the lifetime average.  Across successive snapshots the cumulative counters in
     /// this struct (`completed`, `errors`, `batches`, `rejected`) are
     /// monotone non-decreasing, and `queue.depth` never exceeds
     /// `queue.capacity`.
     pub queue: QueueSnapshot,
-    /// Configured micro-batch cap (per replica).
+    /// Configured micro-batch cap.
     pub max_batch: usize,
-    /// Configured submission-queue capacity **per replica**
-    /// ([`crate::serve::ServerOptions::queue_capacity`]); the aggregate
-    /// admission capacity is `queue.capacity`.
+    /// Configured submission-queue capacity
+    /// ([`crate::serve::ServerOptions::queue_capacity`]).
     pub queue_capacity: usize,
-    /// Configured replica count ([`crate::serve::ServerOptions::replicas`]).
-    pub replicas: usize,
-    /// Replicas whose dispatcher is still alive and accepting placements.
-    /// `healthy_replicas < replicas` is the *healthy-but-degraded* state: a
-    /// replica died, its in-flight work was settled with typed errors, and
-    /// the survivors keep serving.
-    pub healthy_replicas: usize,
-    /// Per-replica counter slices, indexed by replica.
-    pub per_replica: Vec<ReplicaStats>,
-    /// Effective global thread budget the server draws from (replicas
-    /// partition this between them).
+    /// Effective global thread budget each micro-batch fans out over.
     pub thread_budget: usize,
     /// Wall-clock seconds since the server started.
     pub elapsed_s: f64,
     /// Modelled per-unit busy/idle occupancy of one inference (identical
-    /// for every inference of the compiled model, on every replica).
+    /// for every inference of the compiled model).
     pub utilisation: Vec<UnitUtilisation>,
 }
 

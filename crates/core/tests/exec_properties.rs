@@ -11,14 +11,15 @@
 //!   input levels from the functional trace;
 //! * total and per-layer cycles against the analytical timing model
 //!   (`Accelerator::design_report`);
-//! * batch and served reports against solo `Accelerator::run` calls.
+//! * batch and served reports against solo `Accelerator::run` calls, for
+//!   any submission order over both completion paths.
 
 use proptest::prelude::*;
 use snn_accel::config::{AcceleratorConfig, ArrayGeometry};
 use snn_accel::memory;
 use snn_accel::reference::{ReferenceConvolutionUnit, ReferenceLinearUnit};
 use snn_accel::report::RunReport;
-use snn_accel::serve::{ServerOptions, StreamServer};
+use snn_accel::serve::{CompletionSink, ServerOptions, StreamServer};
 use snn_accel::sim::Accelerator;
 use snn_accel::AccelError;
 use snn_model::convert::{convert, CalibrationStats, ConversionConfig};
@@ -26,6 +27,8 @@ use snn_model::params::Parameters;
 use snn_model::snn::{requantize, SnnLayer, SnnModel};
 use snn_model::{LayerSpec, NetworkSpec};
 use snn_tensor::Tensor;
+use std::sync::Arc;
+use std::time::Duration;
 
 #[derive(Debug, Clone, Copy)]
 struct ScenarioParams {
@@ -334,7 +337,9 @@ proptest! {
     }
 
     /// Every report the streaming server hands back is bit-identical to a
-    /// solo `run` (the sequential layer loop), for any micro-batch cap.
+    /// solo `run` (the sequential layer loop), for any micro-batch cap,
+    /// submission order and completion path: inputs go in a generated
+    /// permutation, each through a ticket or the tagged completion sink.
     #[test]
     fn stream_server_matches_sequential_oracle(
         c_out in 1usize..6,
@@ -343,6 +348,8 @@ proptest! {
         time_steps in 1usize..5,
         max_batch in 1usize..5,
         batch in 1usize..5,
+        order_keys in proptest::collection::vec(0u64..1000, 4),
+        tagged_mask in 0u32..16,
         seed in 0u64..1000,
     ) {
         let Some((model, inputs, config)) = build_scenario(ScenarioParams {
@@ -354,14 +361,36 @@ proptest! {
             max_batch,
             ..ServerOptions::default()
         }).unwrap();
-        let served = server.run_all(&inputs).unwrap();
+        let mut order: Vec<usize> = (0..inputs.len()).collect();
+        order.sort_by_key(|&i| (order_keys[i], i));
+        let (sink, completions) = CompletionSink::new(Arc::new(|| {}));
+        let mut tickets = Vec::new();
+        let mut tagged = 0usize;
+        for index in order {
+            if tagged_mask & (1 << index) != 0 {
+                server.submit_tagged(inputs[index].clone(), index as u64, &sink).unwrap();
+                tagged += 1;
+            } else {
+                tickets.push((index, server.submit(inputs[index].clone()).unwrap()));
+            }
+        }
+        let mut served: Vec<Option<RunReport>> = vec![None; inputs.len()];
+        for (index, ticket) in tickets {
+            served[index] = Some(ticket.wait().unwrap());
+        }
+        for _ in 0..tagged {
+            let completion = completions
+                .recv_timeout(Duration::from_secs(60))
+                .expect("tagged completion arrives");
+            served[completion.tag as usize] = Some(completion.result.unwrap());
+        }
         let stats = server.shutdown();
         prop_assert_eq!(stats.completed, inputs.len() as u64);
         prop_assert_eq!(stats.errors, 0);
         let accel = Accelerator::new(config);
-        for (report, input) in served.iter().zip(&inputs) {
-            let solo = accel.run(&model, input).unwrap();
-            prop_assert_eq!(report, &solo);
+        for (report, input) in served.into_iter().zip(&inputs) {
+            let report = report.expect("every submission settled");
+            prop_assert_eq!(report, accel.run(&model, input).unwrap());
         }
     }
 

@@ -1,5 +1,5 @@
 //! Chaos-tier tracing tests (fault-injection builds only): deliberate
-//! replica crashes and engine panics must still produce exactly one
+//! engine crashes and engine panics must still produce exactly one
 //! trace per request with the correct terminal outcome, and the recorder
 //! must never be left holding an open span — supervision settles every
 //! stranded submission, and settling publishes its trace.
@@ -55,7 +55,6 @@ fn kill_pill_traces_replica_down_and_leaks_no_spans() {
         AcceleratorConfig::default(),
         model,
         ServerOptions {
-            replicas: 1,
             trace: true,
             ..ServerOptions::default()
         },
@@ -66,7 +65,7 @@ fn kill_pill_traces_replica_down_and_leaks_no_spans() {
         .submit(poisoned(inputs[0].clone(), poison::kill_pill()))
         .unwrap();
     match ticket.wait() {
-        Err(AccelError::ReplicaDown { replica, .. }) => assert_eq!(replica, 0),
+        Err(AccelError::ReplicaDown { .. }) => {}
         other => panic!("expected ReplicaDown, got {other:?}"),
     }
 
@@ -76,11 +75,11 @@ fn kill_pill_traces_replica_down_and_leaks_no_spans() {
     assert_eq!(traces.len(), 1);
     assert_eq!(traces[0].outcome, Outcome::ReplicaDown);
 
-    // The lone replica is dead: the next submission fails at admission and
-    // its trace lands in the unrouted shard with the serving error code.
+    // The engine is dead: the next submission fails at admission and its
+    // trace carries the serving error code.
     match server.submit(inputs[1].clone()) {
         Err(AccelError::Serving { .. }) => {}
-        other => panic!("expected Serving after the last replica died, got {other:?}"),
+        other => panic!("expected Serving after the engine died, got {other:?}"),
     }
     assert_eq!(recorder.open_spans(), 0);
     let traces = recorder.drain();
@@ -91,7 +90,7 @@ fn kill_pill_traces_replica_down_and_leaks_no_spans() {
             code: "serving".to_string()
         }
     );
-    assert_eq!(traces[0].replica, None, "never placed: unrouted");
+    assert_eq!(traces[0].queue_depth_at_route, None, "never queued");
     server.shutdown();
 }
 
@@ -102,7 +101,6 @@ fn poison_pill_traces_engine_panic_while_siblings_trace_scores() {
         AcceleratorConfig::default(),
         model,
         ServerOptions {
-            replicas: 2,
             trace: true,
             ..ServerOptions::default()
         },

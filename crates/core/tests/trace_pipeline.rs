@@ -50,9 +50,8 @@ fn tiny_setup(seed: u64, time_steps: usize, count: usize) -> (SnnModel, Vec<Tens
     (model, inputs)
 }
 
-fn traced_options(replicas: usize) -> ServerOptions {
+fn traced_options() -> ServerOptions {
     ServerOptions {
-        replicas,
         trace: true,
         ..ServerOptions::default()
     }
@@ -62,7 +61,7 @@ fn traced_options(replicas: usize) -> ServerOptions {
 fn every_served_request_yields_one_complete_trace() {
     let (model, inputs) = tiny_setup(11, 3, 6);
     let server =
-        StreamServer::start_with(AcceleratorConfig::default(), model, traced_options(2)).unwrap();
+        StreamServer::start_with(AcceleratorConfig::default(), model, traced_options()).unwrap();
     let wall_start = Instant::now();
     let reports = server.run_all(&inputs).unwrap();
     let wall = wall_start.elapsed().as_secs_f64();
@@ -81,8 +80,6 @@ fn every_served_request_yields_one_complete_trace() {
             Outcome::Scores { total_cycles } => assert!(*total_cycles > 0),
             other => panic!("served request traced as {other:?}"),
         }
-        let replica = trace.replica.expect("served request was routed");
-        assert!(replica < 2);
         assert!(trace.queue_depth_at_route.is_some());
         for phase in [
             Phase::Admission,
@@ -119,13 +116,13 @@ fn every_served_request_yields_one_complete_trace() {
 fn scores_are_bit_identical_with_tracing_on_and_off_and_off_records_nothing() {
     let (model, inputs) = tiny_setup(23, 3, 5);
     let config = AcceleratorConfig::default();
-    let traced = StreamServer::start_with(config, model.clone(), traced_options(2)).unwrap();
+    let traced = StreamServer::start_with(config, model.clone(), traced_options()).unwrap();
     let untraced = StreamServer::start_with(
         config,
         model,
         ServerOptions {
             trace: false,
-            ..traced_options(2)
+            ..traced_options()
         },
     )
     .unwrap();
@@ -157,7 +154,7 @@ fn deadline_sheds_trace_the_rejected_deadline_outcome() {
             // A zero queue-wait deadline sheds every submission before
             // compute, deterministically.
             max_queue_wait: Some(Duration::ZERO),
-            ..traced_options(1)
+            ..traced_options()
         },
     )
     .unwrap();
@@ -213,7 +210,7 @@ fn overhead_budget_tracing_costs_under_three_percent() {
                 model.clone(),
                 ServerOptions {
                     trace,
-                    ..traced_options(2)
+                    ..traced_options()
                 },
             )
             .unwrap();

@@ -171,10 +171,11 @@ pub mod error_code {
     /// The execution engine panicked on this request; the panic was
     /// isolated to this inference and the server keeps serving.
     pub const ENGINE_PANIC: u16 = 4;
-    /// The replica engine this request was placed on died before serving
-    /// it.  The request was admitted and then lost — not backpressure —
-    /// but sibling replicas keep serving, so the client should resubmit
-    /// (the router will place the retry on a healthy replica).
+    /// The server's engine died before serving this request.  The
+    /// request was admitted and then lost — not backpressure.  The engine
+    /// does not come back: a resubmission is answered with
+    /// [`SHUTTING_DOWN`], so the client should fail over to another server
+    /// instead of retrying this one.
     pub const REPLICA_DOWN: u16 = 5;
 }
 

@@ -515,26 +515,24 @@ impl NetServer {
         }
     }
 
-    /// `true` while every reactor shard is alive, at least one replica
-    /// engine is healthy, and the server has not been told to shut down.
+    /// `true` while every reactor shard is alive, the engine is healthy
+    /// ([`StreamServer::is_healthy`]), and the server has not been told to
+    /// shut down.
     ///
     /// A dead shard (a panic in its event loop — inference panics never
     /// reach the reactors, they are isolated inside the dispatcher) means
     /// its connections are gone and, for shard 0, that nothing accepts;
     /// the survivors keep serving *their* connections, but the front-end
-    /// has silently lost capacity.  Likewise, a front-end with zero
-    /// healthy replicas behind it can only reject.  A *degraded* inner
-    /// server — some but not all replicas down — still reports healthy
-    /// (the survivors serve); the per-replica stats expose the
-    /// degradation.  This is the supervision signal: a monitor that sees
-    /// `is_healthy() == false` on a server it did not shut down should
-    /// rebuild the front-end.
+    /// has silently lost capacity.  Likewise, a front-end whose engine
+    /// died can only answer SHUTTING_DOWN.  This is the supervision
+    /// signal: a monitor that sees `is_healthy() == false` on a server it
+    /// did not shut down should rebuild the front-end.
     pub fn is_healthy(&self) -> bool {
         self.shared
             .shards
             .iter()
             .all(|s| s.alive.load(Ordering::Acquire))
-            && self.shared.server.healthy_replicas() > 0
+            && self.shared.server.is_healthy()
             && !self.shared.shutdown.load(Ordering::Acquire)
     }
 
@@ -1525,9 +1523,8 @@ fn error_reply(request_id: u64, err: &AccelError) -> Frame {
         // inside the dispatcher and the server keeps serving — the code
         // tells the client the input is poison, not the server.
         AccelError::EnginePanic { .. } => error_code::ENGINE_PANIC,
-        // The replica this request was placed on died before serving it;
-        // siblings keep serving, so the client should resubmit and let the
-        // router place the retry on a healthy replica.
+        // The engine died before serving this request; the server will
+        // refuse everything after it with SHUTTING_DOWN.
         AccelError::ReplicaDown { .. } => error_code::REPLICA_DOWN,
         _ => error_code::BAD_REQUEST,
     };
@@ -1571,8 +1568,6 @@ fn render_stats_text(shared: &NetShared) -> String {
     ));
     out.push_str(&format!("reactors: {}\n", shared.reactors));
     out.push_str(&format!("reactors_alive: {reactors_alive}\n"));
-    out.push_str(&format!("replicas: {}\n", server.replicas));
-    out.push_str(&format!("replicas_healthy: {}\n", server.healthy_replicas));
     out.push_str(&format!("batches: {}\n", server.batches));
     out.push_str(&format!("largest_batch: {}\n", server.largest_batch));
     out.push_str(&format!("queue_depth: {}\n", server.queue.depth));
@@ -1643,22 +1638,6 @@ fn render_stats_text(shared: &NetShared) -> String {
             reactor.stats_requests,
         ));
     }
-    for replica in &server.per_replica {
-        out.push_str(&format!(
-            "replica[{}]: healthy={} completed={} errors={} batches={} largest_batch={} \
-             panics={} deadline_sheds={} queue_depth={} drain_rate_ips={:.3}\n",
-            replica.index,
-            u8::from(replica.healthy),
-            replica.completed,
-            replica.errors,
-            replica.batches,
-            replica.largest_batch,
-            replica.panics,
-            replica.deadline_sheds,
-            replica.queue.depth,
-            replica.queue.drain_rate_ips
-        ));
-    }
     for unit in &server.utilisation {
         out.push_str(&format!(
             "unit[{:?}]: units={} busy_cycles={} total_cycles={} utilisation={:.4}\n",
@@ -1707,12 +1686,6 @@ fn render_stats_prometheus(shared: &NetShared) -> String {
     );
     metric("snn_reactors", "gauge", shared.reactors.to_string());
     metric("snn_reactors_alive", "gauge", reactors_alive.to_string());
-    metric("snn_replicas", "gauge", server.replicas.to_string());
-    metric(
-        "snn_replicas_healthy",
-        "gauge",
-        server.healthy_replicas.to_string(),
-    );
     metric("snn_batches_total", "counter", server.batches.to_string());
     metric(
         "snn_largest_batch",
@@ -1854,63 +1827,6 @@ fn render_stats_prometheus(shared: &NetShared) -> String {
                 "{name}{{reactor=\"{}\"}} {}\n",
                 reactor.index,
                 pick(reactor)
-            ));
-        }
-    }
-    for (name, kind, pick) in [
-        (
-            "snn_replica_healthy",
-            "gauge",
-            Box::new(|r: &snn_accel::serve::ReplicaStats| u8::from(r.healthy).to_string())
-                as Box<dyn Fn(&snn_accel::serve::ReplicaStats) -> String>,
-        ),
-        (
-            "snn_replica_completed_total",
-            "counter",
-            Box::new(|r| r.completed.to_string()),
-        ),
-        (
-            "snn_replica_errors_total",
-            "counter",
-            Box::new(|r| r.errors.to_string()),
-        ),
-        (
-            "snn_replica_batches_total",
-            "counter",
-            Box::new(|r| r.batches.to_string()),
-        ),
-        (
-            "snn_replica_largest_batch",
-            "gauge",
-            Box::new(|r| r.largest_batch.to_string()),
-        ),
-        (
-            "snn_replica_panics_total",
-            "counter",
-            Box::new(|r| r.panics.to_string()),
-        ),
-        (
-            "snn_replica_deadline_sheds_total",
-            "counter",
-            Box::new(|r| r.deadline_sheds.to_string()),
-        ),
-        (
-            "snn_replica_queue_depth",
-            "gauge",
-            Box::new(|r| r.queue.depth.to_string()),
-        ),
-        (
-            "snn_replica_drain_rate_ips",
-            "gauge",
-            Box::new(|r| format!("{:.3}", r.queue.drain_rate_ips)),
-        ),
-    ] {
-        out.push_str(&format!("# TYPE {name} {kind}\n"));
-        for replica in &server.per_replica {
-            out.push_str(&format!(
-                "{name}{{replica=\"{}\"}} {}\n",
-                replica.index,
-                pick(replica)
             ));
         }
     }

@@ -3,8 +3,8 @@
 //!
 //! The supervision invariant every schedule pins: **every request ends in
 //! bit-exact SCORES or a typed error frame — never a hang, never a
-//! process panic — and the server keeps serving afterwards.**  Four
-//! escalating schedules:
+//! process panic — and, short of an engine kill, the server keeps serving
+//! afterwards.**  Five escalating schedules:
 //!
 //! * recoverable transport faults (short I/O, EAGAIN, EINTR, delayed
 //!   readiness, dropped wake bytes) — replies must stay bit-exact;
@@ -12,6 +12,9 @@
 //!   isolated to its own request, siblings and later requests are exact;
 //! * expired request deadlines — shed *before compute* with a typed
 //!   DEADLINE rejection and a `deadline_sheds` counter to show for it;
+//! * an engine kill (a kill-pill input) — every admitted request settles
+//!   with exact SCORES or a typed REPLICA_DOWN, later ones are refused
+//!   with SHUTTING_DOWN, and STATS still answers;
 //! * connection resets — the reset connection's requests may fail with
 //!   transport errors, but a fresh connection is served exactly.
 //!
@@ -253,19 +256,19 @@ fn expired_deadlines_shed_before_compute_with_a_typed_rejection() {
     assert_eq!(reply.logits, setup.expected[2]);
 }
 
-/// The replica-death schedule: a kill-pill input unwinds one replica's
-/// whole dispatcher mid-storm.  The pins: the storm never hangs — every
-/// request ends in bit-exact SCORES or a typed REPLICA_DOWN error frame;
-/// at least the pill's own request is stranded; afterwards the server is
-/// *healthy but degraded* (`replicas_healthy: 1`, `is_healthy()` true),
-/// fresh traffic is rerouted to the surviving replica and served exactly,
-/// and the final stats show exactly one dead replica with an empty queue.
+/// The engine-death schedule: a kill-pill input unwinds the engine's
+/// whole dispatcher at the end of a pipelined storm.  The pins: the storm
+/// never hangs — every request ends in bit-exact SCORES or a typed
+/// REPLICA_DOWN error frame (code 5), and at least the pill's own request
+/// is stranded; afterwards `is_healthy()` is false, a fresh INFER is
+/// refused with a typed SHUTTING_DOWN error frame instead of hanging, and
+/// STATS still answers with counters that match the storm.
 #[test]
-fn a_replica_kill_mid_storm_strands_only_its_requests_and_degrades_the_server() {
+fn an_engine_kill_mid_storm_settles_every_request_and_refuses_new_ones() {
     let setup = setup();
     let _serial = chaos_lock();
-    // A dedicated two-replica server: killing a replica is permanent, so
-    // the shared singleton cannot be used.
+    // A dedicated server: killing the engine is permanent, so the shared
+    // singleton cannot be used.
     let net = zoo::tiny_cnn();
     let params = Parameters::he_init(&net, 11).unwrap();
     let stats = CalibrationStats::collect(&net, &params, setup.inputs.iter()).unwrap();
@@ -283,42 +286,41 @@ fn a_replica_kill_mid_storm_strands_only_its_requests_and_degrades_the_server() 
         "127.0.0.1:0",
         AcceleratorConfig::default(),
         model,
-        NetOptions {
-            server: snn_accel::serve::ServerOptions {
-                replicas: 2,
-                ..snn_accel::serve::ServerOptions::default()
-            },
-            ..NetOptions::default()
-        },
+        NetOptions::default(),
     )
     .unwrap();
-    let oracle: Vec<Vec<i64>> = setup.expected.clone();
+    assert!(server.is_healthy());
 
-    // The storm: a pipelined burst with the kill pill in the middle, so
-    // requests are in flight on both replicas when one dies.
+    // The storm: a pipelined burst that ends in the kill pill.  Frames on
+    // one connection are admitted in order, so every request of the burst
+    // is admitted before the engine can die: each one is either served or
+    // stranded in the pill's micro-batch.
     let mut killer = setup.inputs[0].clone();
     killer.as_mut_slice()[0] = poison::kill_pill();
     let picks: Vec<usize> = (0..10).map(|i| i % setup.inputs.len()).collect();
     let mut batch: Vec<Tensor<f32>> = picks.iter().map(|&p| setup.inputs[p].clone()).collect();
-    batch.insert(5, killer);
+    batch.push(killer);
 
     let mut client = NetClient::connect(server.local_addr()).unwrap();
+    client
+        .set_reply_timeout(std::time::Duration::from_secs(30))
+        .unwrap();
     let replies = client.infer_many(&batch).unwrap();
     assert_eq!(replies.len(), batch.len(), "every request must settle");
+    let mut served = 0u64;
     let mut stranded = 0usize;
     for (slot, reply) in replies.iter().enumerate() {
         match reply {
             Ok(scores) => {
-                let pick = if slot < 5 {
-                    picks[slot]
-                } else {
-                    picks[slot - 1]
-                };
+                assert!(
+                    slot < picks.len(),
+                    "the kill pill itself can never be served"
+                );
                 assert_eq!(
-                    scores.logits, oracle[pick],
+                    scores.logits, setup.expected[picks[slot]],
                     "request {slot}: a served reply must stay bit-exact through the kill"
                 );
-                assert!(slot != 5, "the kill pill itself can never be served");
+                served += 1;
             }
             Err(NetError::Remote { code, message }) => {
                 assert_eq!(
@@ -327,51 +329,48 @@ fn a_replica_kill_mid_storm_strands_only_its_requests_and_degrades_the_server() 
                     "request {slot}: the only admissible failure is a typed \
                      REPLICA_DOWN, got {message:?}"
                 );
-                assert!(
-                    message.contains("replica") && message.contains("down"),
-                    "the frame names the dead replica: {message}"
-                );
+                assert!(message.contains("down"), "the frame says why: {message}");
                 stranded += 1;
             }
             Err(other) => panic!("request {slot}: unexpected error class: {other}"),
         }
     }
     assert!(
-        stranded >= 1,
-        "at least the kill pill's own request is stranded"
+        matches!(replies.last(), Some(Err(NetError::Remote { .. }))),
+        "the kill pill's own request is stranded"
     );
-
-    // Healthy but degraded: the survivor serves, the scrape says so.
+    assert_eq!(served as usize + stranded, batch.len());
     assert!(
-        server.is_healthy(),
-        "one dead replica must not fail the whole server"
+        !server.is_healthy(),
+        "a dead engine must fail the health probe"
     );
-    let text = client.stats_text().unwrap();
-    assert_eq!(counter(&text, "replicas"), 2);
-    assert_eq!(counter(&text, "replicas_healthy"), 1);
 
-    // Rerouting: fresh traffic lands on the survivor and stays bit-exact.
+    // A fresh INFER is refused with a typed SHUTTING_DOWN frame, not a hang.
     let mut fresh = NetClient::connect(server.local_addr()).unwrap();
-    for (pick, expected) in oracle.iter().enumerate() {
-        let reply = fresh.infer(&setup.inputs[pick]).unwrap();
-        assert_eq!(reply.logits, *expected);
+    fresh
+        .set_reply_timeout(std::time::Duration::from_secs(30))
+        .unwrap();
+    match fresh.infer(&setup.inputs[1]) {
+        Err(NetError::Remote { code, message }) => {
+            assert_eq!(code, error_code::SHUTTING_DOWN, "got {message:?}");
+        }
+        other => panic!("a dead engine must refuse with SHUTTING_DOWN, got {other:?}"),
     }
 
-    // The final snapshot: exactly one dead replica, drained to empty.
-    let final_stats = server.shutdown();
-    assert_eq!(final_stats.server.replicas, 2);
-    assert_eq!(final_stats.server.healthy_replicas, 1);
-    let dead: Vec<_> = final_stats
-        .server
-        .per_replica
-        .iter()
-        .filter(|r| !r.healthy)
-        .collect();
-    assert_eq!(dead.len(), 1, "exactly one replica died");
+    // STATS still answers, and its counters match the storm.
+    let mut scraper = NetClient::connect(server.local_addr()).unwrap();
+    let text = scraper.stats_text().unwrap();
+    assert_eq!(counter(&text, "completed"), served);
     assert_eq!(
-        dead[0].queue.depth, 0,
-        "the dead replica's queue was drained, not leaked"
+        counter(&text, "queue_depth"),
+        0,
+        "the dead queue was drained"
     );
+    assert_eq!(counter(&text, "reactor_alive"), 1, "the reactors survived");
+
+    let final_stats = server.shutdown();
+    assert_eq!(final_stats.server.completed, served);
+    assert_eq!(final_stats.server.queue.depth, 0);
 }
 
 /// Connection resets are the destructive schedule: requests riding a reset

@@ -8,12 +8,11 @@
 //! deadline are always served with SCORES bit-identical to the sequential
 //! in-process oracle; and no id is ever answered twice or answered with a
 //! sibling's outcome, no matter how the replies interleave in completion
-//! order.  The server runs two replica engines, so the deadlines also
-//! prove out across the routing layer, not just a single queue.
+//! order.
 
 use proptest::prelude::*;
 use snn_accel::config::AcceleratorConfig;
-use snn_accel::serve::{ServerOptions, StreamServer};
+use snn_accel::serve::StreamServer;
 use snn_model::convert::{convert, CalibrationStats, ConversionConfig};
 use snn_model::params::Parameters;
 use snn_model::zoo;
@@ -69,19 +68,7 @@ fn setup() -> &'static Setup {
             })
             .collect();
         in_process.shutdown();
-        let server = NetServer::bind(
-            "127.0.0.1:0",
-            config,
-            model,
-            NetOptions {
-                server: ServerOptions {
-                    replicas: 2,
-                    ..ServerOptions::default()
-                },
-                ..NetOptions::default()
-            },
-        )
-        .unwrap();
+        let server = NetServer::bind("127.0.0.1:0", config, model, NetOptions::default()).unwrap();
         let addr = server.local_addr();
         Setup {
             _server: server,

@@ -117,89 +117,6 @@ fn pipelined_lenet_scores_on_one_connection_match_sequential_submit() {
     in_process.shutdown();
 }
 
-/// The replication pin: scores served over TCP by a replicas=2 server are
-/// bit-identical to a replicas=1 server and to the in-process submit —
-/// replication must be invisible in results, visible only in the stats.
-#[test]
-fn replicated_scores_over_tcp_match_single_replica_bit_exactly() {
-    let (model, inputs) = tiny_setup(6);
-    let config = AcceleratorConfig::default();
-    let replicated = NetServer::bind(
-        "127.0.0.1:0",
-        config,
-        model.clone(),
-        NetOptions {
-            server: ServerOptions {
-                replicas: 2,
-                ..ServerOptions::default()
-            },
-            ..NetOptions::default()
-        },
-    )
-    .unwrap();
-    let single =
-        NetServer::bind("127.0.0.1:0", config, model.clone(), NetOptions::default()).unwrap();
-    let in_process = StreamServer::start(config, model).unwrap();
-
-    // Pipelined so requests genuinely interleave across both replicas.
-    let mut rep_client = NetClient::connect(replicated.local_addr()).unwrap();
-    let mut single_client = NetClient::connect(single.local_addr()).unwrap();
-    let rep_replies = rep_client.infer_many(&inputs).unwrap();
-    let single_replies = single_client.infer_many(&inputs).unwrap();
-    for ((rep, solo), input) in rep_replies.iter().zip(&single_replies).zip(&inputs) {
-        let rep = rep.as_ref().expect("replicated inference succeeds");
-        let solo = solo.as_ref().expect("single-replica inference succeeds");
-        assert_eq!(rep.logits, solo.logits, "logits must be bit-identical");
-        assert_eq!(rep.prediction, solo.prediction);
-        assert_eq!(rep.total_cycles, solo.total_cycles);
-        assert_eq!(rep.thread_budget, solo.thread_budget);
-        let local = in_process.submit(input.clone()).unwrap().wait().unwrap();
-        assert_eq!(rep.logits, local.logits);
-    }
-
-    // The replica layer is visible in both stats formats.
-    let text = rep_client.stats_text().unwrap();
-    assert!(text.contains("replicas: 2"), "stats text: {text}");
-    assert!(text.contains("replicas_healthy: 2"), "stats text: {text}");
-    assert!(text.contains("replica[0]: healthy=1"), "stats text: {text}");
-    assert!(text.contains("replica[1]: healthy=1"), "stats text: {text}");
-    let prom = rep_client.stats_prometheus().unwrap();
-    assert!(
-        prom.contains("# TYPE snn_replicas gauge\nsnn_replicas 2\n"),
-        "prometheus: {prom}"
-    );
-    assert!(
-        prom.contains("# TYPE snn_replicas_healthy gauge\nsnn_replicas_healthy 2\n"),
-        "prometheus: {prom}"
-    );
-    assert!(
-        prom.contains("snn_replica_healthy{replica=\"0\"} 1"),
-        "prometheus: {prom}"
-    );
-    assert!(
-        prom.contains("snn_replica_completed_total{replica=\"1\"}"),
-        "prometheus: {prom}"
-    );
-    for line in prom.lines() {
-        assert!(
-            line.starts_with("# TYPE snn_")
-                || line.starts_with("# HELP snn_")
-                || line.starts_with("snn_"),
-            "stray exposition line: {line}"
-        );
-    }
-
-    assert!(replicated.is_healthy());
-    let stats = replicated.shutdown();
-    assert_eq!(stats.server.completed, inputs.len() as u64);
-    assert_eq!(stats.server.replicas, 2);
-    assert_eq!(stats.server.healthy_replicas, 2);
-    let per_replica_sum: u64 = stats.server.per_replica.iter().map(|r| r.completed).sum();
-    assert_eq!(per_replica_sum, stats.server.completed);
-    single.shutdown();
-    in_process.shutdown();
-}
-
 #[test]
 fn many_requests_per_connection_and_stats_accumulate() {
     let (model, inputs) = tiny_setup(5);

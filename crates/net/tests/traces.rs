@@ -1,5 +1,5 @@
 //! End-to-end tracing over real sockets: every pipelined request served
-//! by a multi-replica `NetServer` yields exactly one complete
+//! by a `NetServer` yields exactly one complete
 //! `RequestTrace` retrievable over the wire (framed STATS format `2` or
 //! the plaintext `TRACES` line), with per-phase durations inside
 //! wall-clock bounds and a `WriteStall` span amended by the reactor.
@@ -45,10 +45,9 @@ fn tiny_setup(count: usize) -> (SnnModel, Vec<Tensor<f32>>) {
     (model, inputs)
 }
 
-fn traced_net_options(replicas: usize, trace: bool) -> NetOptions {
+fn traced_net_options(trace: bool) -> NetOptions {
     NetOptions {
         server: ServerOptions {
-            replicas,
             trace,
             ..ServerOptions::default()
         },
@@ -65,8 +64,8 @@ fn parse_jsonl(dump: &str) -> Vec<RequestTrace> {
         .collect()
 }
 
-/// The acceptance pin: pipelined requests over a replicated loopback
-/// server each produce one complete trace, correlated by request id,
+/// The acceptance pin: pipelined requests over a loopback server each
+/// produce one complete trace, correlated by request id,
 /// with phase sums inside the observed wall clock.
 #[test]
 fn every_pipelined_request_yields_one_complete_trace_over_the_wire() {
@@ -75,7 +74,7 @@ fn every_pipelined_request_yields_one_complete_trace_over_the_wire() {
         "127.0.0.1:0",
         AcceleratorConfig::default(),
         model,
-        traced_net_options(2, true),
+        traced_net_options(true),
     )
     .unwrap();
     let batch: Vec<Tensor<f32>> = (0..8).map(|i| inputs[i % inputs.len()].clone()).collect();
@@ -98,7 +97,7 @@ fn every_pipelined_request_yields_one_complete_trace_over_the_wire() {
             Outcome::Scores { total_cycles } => assert!(*total_cycles > 0),
             other => panic!("served request traced as {other:?}"),
         }
-        assert!(trace.replica.expect("routed") < 2);
+        assert!(trace.queue_depth_at_route.is_some(), "routed: {trace:?}");
         for phase in [
             Phase::Admission,
             Phase::Route,
@@ -151,8 +150,8 @@ fn every_pipelined_request_yields_one_complete_trace_over_the_wire() {
             "missing {family} in: {prom}"
         );
     }
-    let count_line = "snn_request_duration_seconds_count{replica=\"0\"}";
-    assert!(prom.contains(count_line), "missing {count_line}");
+    let count_line = format!("snn_request_duration_seconds_count {}\n", batch.len());
+    assert!(prom.contains(&count_line), "missing {count_line}");
     server.shutdown();
 }
 
@@ -164,11 +163,11 @@ fn scores_over_tcp_are_bit_identical_with_tracing_on_and_off() {
         "127.0.0.1:0",
         config,
         model.clone(),
-        traced_net_options(2, true),
+        traced_net_options(true),
     )
     .unwrap();
     let untraced =
-        NetServer::bind("127.0.0.1:0", config, model, traced_net_options(2, false)).unwrap();
+        NetServer::bind("127.0.0.1:0", config, model, traced_net_options(false)).unwrap();
 
     let mut on_client = NetClient::connect(traced.local_addr()).unwrap();
     let mut off_client = NetClient::connect(untraced.local_addr()).unwrap();
@@ -184,7 +183,7 @@ fn scores_over_tcp_are_bit_identical_with_tracing_on_and_off() {
     // but the exposition still enumerates the families (count 0).
     assert!(off_client.stats_traces().unwrap().is_empty());
     let prom = off_client.stats_prometheus().unwrap();
-    assert!(prom.contains("snn_request_duration_seconds_count{replica=\"0\"} 0"));
+    assert!(prom.contains("snn_request_duration_seconds_count 0\n"));
     assert!(!on_client.stats_traces().unwrap().is_empty());
     traced.shutdown();
     untraced.shutdown();
@@ -199,7 +198,7 @@ fn plaintext_traces_line_drains_the_ring_as_jsonl() {
         "127.0.0.1:0",
         AcceleratorConfig::default(),
         model,
-        traced_net_options(1, true),
+        traced_net_options(true),
     )
     .unwrap();
     let addr = server.local_addr();
@@ -214,7 +213,11 @@ fn plaintext_traces_line_drains_the_ring_as_jsonl() {
     assert_eq!(traces.len(), inputs.len());
     for trace in &traces {
         assert!(matches!(trace.outcome, Outcome::Scores { .. }));
-        assert_eq!(trace.replica, Some(0));
+        assert_eq!(
+            trace.queue_depth_at_route,
+            Some(0),
+            "one client, one request at a time"
+        );
     }
     assert!(
         scrape_traces(addr).unwrap().is_empty(),
@@ -245,12 +248,6 @@ fn text_key_set(text: &str) -> BTreeSet<String> {
             for field in fields.split_whitespace() {
                 let key = field.split_once('=').expect("field=value").0;
                 keys.insert(format!("reactor_{key}"));
-            }
-        } else if let Some(rest) = line.strip_prefix("replica[") {
-            let fields = rest.split_once("]: ").expect("replica line").1;
-            for field in fields.split_whitespace() {
-                let key = field.split_once('=').expect("field=value").0;
-                keys.insert(format!("replica_{key}"));
             }
         } else if let Some(rest) = line.strip_prefix("unit[") {
             let fields = rest.split_once("]: ").expect("unit line").1;
@@ -295,7 +292,7 @@ fn stats_text_and_prometheus_enumerate_the_same_key_set() {
         model,
         NetOptions {
             reactors: 2,
-            ..traced_net_options(2, true)
+            ..traced_net_options(true)
         },
     )
     .unwrap();

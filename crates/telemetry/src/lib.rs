@@ -12,12 +12,12 @@
 //!
 //! 1. **Prometheus histograms** — [`SpanRecorder::render_prometheus_into`]
 //!    appends `snn_request_queue_wait_seconds`,
-//!    `snn_request_compute_seconds`, `snn_request_duration_seconds`
-//!    (per-`replica` labels) and `snn_reactor_write_stall_seconds` to
+//!    `snn_request_compute_seconds`, `snn_request_duration_seconds` and
+//!    `snn_reactor_write_stall_seconds` to
 //!    the existing STATS exposition, using the fixed log-spaced buckets
 //!    of [`histogram`].
 //! 2. **JSONL trace dump** — [`SpanRecorder::render_jsonl`] drains the
-//!    per-replica ring buffers into one [`RequestTrace::to_json_line`]
+//!    ring buffer into one [`RequestTrace::to_json_line`]
 //!    line per trace (STATS format byte `2 = TRACES` on the wire).
 //! 3. **Bench percentiles** — [`LatencyHistogram::quantile`] gives the
 //!    bench harnesses p50/p99/p999 per phase for `BENCH_*.json`.

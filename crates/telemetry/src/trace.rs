@@ -4,12 +4,11 @@
 //! submission through the serving pipeline.  Phase boundaries are
 //! recorded **locally** on the builder (monotonic [`Instant`] clocks, no
 //! shared state), so the hot path is wait-free: the only synchronisation
-//! is one shard-mutex touch when the trace completes, plus two atomic
+//! is one recorder-mutex touch when the trace completes, plus two atomic
 //! bumps (the open-span gauge) at begin/finish.  Completed
-//! [`RequestTrace`]s land in a fixed-capacity per-replica ring buffer —
-//! old traces are evicted, never blocked on — and phase latencies feed
-//! the per-replica [`LatencyHistogram`]s that the Prometheus exposition
-//! renders.
+//! [`RequestTrace`]s land in a fixed-capacity ring buffer — old traces
+//! are evicted, never blocked on — and phase latencies feed the
+//! [`LatencyHistogram`]s that the Prometheus exposition renders.
 //!
 //! The recorder can be disabled (`SNN_TRACE=0`, see
 //! [`trace_enabled_from_env`]); a disabled builder never reads the clock
@@ -28,13 +27,13 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Admission checks in `StreamServer::enqueue` (shutdown gate,
-    /// deadline resolution) up to the router call.
+    /// deadline resolution) up to the enqueue call.
     Admission,
-    /// Inside the router: snapshotting replica views and placing the
-    /// submission (including spills to sibling replicas).
+    /// Placing the submission: acquiring the queue lock and checking
+    /// capacity, up to the push.
     Route,
-    /// Sitting in the chosen replica's bounded queue until the
-    /// dispatcher drains it into a micro-batch.
+    /// Sitting in the bounded queue until the dispatcher drains it into
+    /// a micro-batch.
     QueueWait,
     /// From micro-batch drain to compute start (deadline shedding,
     /// in-flight parking, fault-injection checks).
@@ -108,7 +107,7 @@ pub enum Outcome {
         /// Short error code.
         code: String,
     },
-    /// The replica it was placed on died before serving it.
+    /// The engine died before serving it.
     ReplicaDown,
     /// The trace builder was dropped without an explicit outcome — a bug
     /// guard, surfaced rather than silently leaked.
@@ -133,12 +132,12 @@ impl Outcome {
 pub struct PhaseSpan {
     /// Which phase.
     pub phase: Phase,
-    /// Time spent in it, seconds (spills and re-entries accumulate).
+    /// Time spent in it, seconds (re-entries accumulate).
     pub seconds: f64,
 }
 
-/// A completed request trace: identity, placement, measured phases,
-/// terminal outcome.
+/// A completed request trace: identity, queue depth at route,
+/// measured phases, terminal outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestTrace {
     /// The request id the trace is keyed by: the wire tag for
@@ -148,11 +147,8 @@ pub struct RequestTrace {
     /// Wall-clock completion time, milliseconds since the Unix epoch
     /// (operator tooling; durations use the monotonic clock).
     pub unix_ms: u64,
-    /// The replica the router placed it on; `None` when it was rejected
-    /// before placement.
-    pub replica: Option<usize>,
-    /// The chosen replica's queue depth the router observed at
-    /// placement.
+    /// The queue depth the submission found when it was routed; `None`
+    /// when it was refused before reaching the queue.
     pub queue_depth_at_route: Option<usize>,
     /// Measured phases in pipeline order (absent phases were never
     /// entered).
@@ -182,9 +178,6 @@ impl RequestTrace {
             "{{\"request_id\":{},\"unix_ms\":{}",
             self.request_id, self.unix_ms
         ));
-        if let Some(replica) = self.replica {
-            out.push_str(&format!(",\"replica\":{replica}"));
-        }
         if let Some(depth) = self.queue_depth_at_route {
             out.push_str(&format!(",\"queue_depth_at_route\":{depth}"));
         }
@@ -224,7 +217,6 @@ impl RequestTrace {
         let object = json::parse_object(line.trim())?;
         let request_id = json::get_u64(&object, "request_id")?;
         let unix_ms = json::get_u64(&object, "unix_ms")?;
-        let replica = json::get_u64(&object, "replica").map(|v| v as usize);
         let queue_depth_at_route =
             json::get_u64(&object, "queue_depth_at_route").map(|v| v as usize);
         let outcome = match json::get_str(&object, "outcome")? {
@@ -256,7 +248,6 @@ impl RequestTrace {
         Some(RequestTrace {
             request_id,
             unix_ms,
-            replica,
             queue_depth_at_route,
             phases,
             outcome,
@@ -438,36 +429,24 @@ pub fn trace_enabled_from_env() -> bool {
     !matches!(std::env::var("SNN_TRACE").as_deref(), Ok("0"))
 }
 
-/// Completed traces per recorder shard before the oldest is evicted.
+/// Completed traces the recorder keeps before the oldest is evicted.
 pub const DEFAULT_TRACE_CAPACITY: usize = 512;
 
-struct Shard {
+/// The recorder's mutable state, behind its one mutex.
+struct Store {
     ring: VecDeque<RequestTrace>,
     queue_wait: LatencyHistogram,
     compute: LatencyHistogram,
     duration: LatencyHistogram,
+    write_stall: LatencyHistogram,
 }
 
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            ring: VecDeque::new(),
-            queue_wait: LatencyHistogram::new(),
-            compute: LatencyHistogram::new(),
-            duration: LatencyHistogram::new(),
-        }
-    }
-}
-
-/// The server-wide trace store: one shard per replica (plus one for
-/// requests rejected before placement), each holding a bounded ring of
-/// completed traces and the phase histograms the Prometheus exposition
-/// renders.  See the module docs for the locking story.
+/// The server-wide trace store: a bounded ring of completed traces and
+/// the phase histograms the Prometheus exposition renders.  See the
+/// module docs for the locking story.
 pub struct SpanRecorder {
     enabled: bool,
-    /// `shards[replica]`; the last shard holds unrouted traces.
-    shards: Vec<Mutex<Shard>>,
-    write_stall: Mutex<LatencyHistogram>,
+    store: Mutex<Store>,
     open: AtomicU64,
     next_id: AtomicU64,
     capacity: usize,
@@ -478,22 +457,24 @@ fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl SpanRecorder {
-    /// A recorder with one shard per replica and the default ring
-    /// capacity.  `enabled = false` builds a recorder whose builders are
-    /// all no-ops (the `SNN_TRACE=0` path).
-    pub fn new(replicas: usize, enabled: bool) -> Self {
-        Self::with_capacity(replicas, enabled, DEFAULT_TRACE_CAPACITY)
+    /// A recorder with the default ring capacity.  `enabled = false`
+    /// builds a recorder whose builders are all no-ops (the `SNN_TRACE=0`
+    /// path).
+    pub fn new(enabled: bool) -> Self {
+        Self::with_capacity(enabled, DEFAULT_TRACE_CAPACITY)
     }
 
-    /// As [`SpanRecorder::new`] with an explicit per-shard ring
-    /// capacity.
-    pub fn with_capacity(replicas: usize, enabled: bool, capacity: usize) -> Self {
+    /// As [`SpanRecorder::new`] with an explicit ring capacity.
+    pub fn with_capacity(enabled: bool, capacity: usize) -> Self {
         SpanRecorder {
             enabled,
-            shards: (0..replicas.max(1) + 1)
-                .map(|_| Mutex::new(Shard::new()))
-                .collect(),
-            write_stall: Mutex::new(LatencyHistogram::new()),
+            store: Mutex::new(Store {
+                ring: VecDeque::new(),
+                queue_wait: LatencyHistogram::new(),
+                compute: LatencyHistogram::new(),
+                duration: LatencyHistogram::new(),
+                write_stall: LatencyHistogram::new(),
+            }),
             open: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
             capacity: capacity.max(1),
@@ -528,7 +509,6 @@ impl SpanRecorder {
             current: Phase::Admission,
             elapsed: [0.0; PHASE_COUNT],
             seen: [false; PHASE_COUNT],
-            replica: None,
             depth: None,
         }
     }
@@ -541,22 +521,18 @@ impl SpanRecorder {
 
     fn complete(&self, trace: RequestTrace) {
         self.open.fetch_sub(1, Ordering::Relaxed);
-        let shard_index = match trace.replica {
-            Some(replica) => replica.min(self.shards.len() - 2),
-            None => self.shards.len() - 1,
-        };
-        let mut shard = relock(&self.shards[shard_index]);
+        let mut store = relock(&self.store);
         if let Some(seconds) = trace.phase_seconds(Phase::QueueWait) {
-            shard.queue_wait.observe(seconds);
+            store.queue_wait.observe(seconds);
         }
         if let Some(seconds) = trace.phase_seconds(Phase::Compute) {
-            shard.compute.observe(seconds);
+            store.compute.observe(seconds);
         }
-        shard.duration.observe(trace.total_seconds);
-        if shard.ring.len() >= self.capacity {
-            shard.ring.pop_front();
+        store.duration.observe(trace.total_seconds);
+        if store.ring.len() >= self.capacity {
+            store.ring.pop_front();
         }
-        shard.ring.push_back(trace);
+        store.ring.push_back(trace);
     }
 
     /// Records one reactor write-queue residency sample and appends the
@@ -567,36 +543,27 @@ impl SpanRecorder {
         if !self.enabled {
             return;
         }
-        relock(&self.write_stall).observe(seconds);
-        for shard in &self.shards {
-            let mut shard = relock(shard);
-            if let Some(trace) = shard
-                .ring
-                .iter_mut()
-                .rev()
-                .find(|t| t.request_id == request_id)
-            {
-                if trace.phase_seconds(Phase::WriteStall).is_none() {
-                    trace.phases.push(PhaseSpan {
-                        phase: Phase::WriteStall,
-                        seconds,
-                    });
-                }
-                return;
+        let mut store = relock(&self.store);
+        store.write_stall.observe(seconds);
+        if let Some(trace) = store
+            .ring
+            .iter_mut()
+            .rev()
+            .find(|t| t.request_id == request_id)
+        {
+            if trace.phase_seconds(Phase::WriteStall).is_none() {
+                trace.phases.push(PhaseSpan {
+                    phase: Phase::WriteStall,
+                    seconds,
+                });
             }
         }
     }
 
-    /// Drains every completed trace, oldest first (completion order
-    /// within a shard, completion time across shards).  Histograms are
+    /// Drains every completed trace, in completion order.  Histograms are
     /// **not** reset — they are cumulative, as Prometheus expects.
     pub fn drain(&self) -> Vec<RequestTrace> {
-        let mut traces: Vec<RequestTrace> = Vec::new();
-        for shard in &self.shards {
-            traces.extend(relock(shard).ring.drain(..));
-        }
-        traces.sort_by_key(|t| (t.unix_ms, t.request_id));
-        traces
+        relock(&self.store).ring.drain(..).collect()
     }
 
     /// Drains the rings into a JSONL dump — one trace per line, the
@@ -610,89 +577,53 @@ impl SpanRecorder {
         out
     }
 
-    fn merged<F: Fn(&Shard) -> &LatencyHistogram>(&self, pick: F) -> LatencyHistogram {
-        let mut merged = LatencyHistogram::new();
-        for shard in &self.shards {
-            merged.merge(pick(&relock(shard)));
-        }
-        merged
-    }
-
-    /// Queue-wait latencies merged over all shards.
+    /// Queue-wait latencies.
     pub fn queue_wait_histogram(&self) -> LatencyHistogram {
-        self.merged(|s| &s.queue_wait)
+        relock(&self.store).queue_wait.clone()
     }
 
-    /// Compute latencies merged over all shards.
+    /// Compute latencies.
     pub fn compute_histogram(&self) -> LatencyHistogram {
-        self.merged(|s| &s.compute)
+        relock(&self.store).compute.clone()
     }
 
-    /// End-to-end durations merged over all shards.
+    /// End-to-end durations.
     pub fn duration_histogram(&self) -> LatencyHistogram {
-        self.merged(|s| &s.duration)
+        relock(&self.store).duration.clone()
     }
 
     /// Reactor write-queue residency.
     pub fn write_stall_histogram(&self) -> LatencyHistogram {
-        relock(&self.write_stall).clone()
+        relock(&self.store).write_stall.clone()
     }
 
     /// Renders the four request-phase histogram families in Prometheus
-    /// exposition format (per-replica `replica` labels; the unrouted
-    /// shard is labelled `replica="unrouted"`).
+    /// exposition format (unlabelled series).
     pub fn render_prometheus_into(&self, out: &mut String) {
-        let shards: Vec<Shard> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let s = relock(s);
-                Shard {
-                    ring: VecDeque::new(),
-                    queue_wait: s.queue_wait.clone(),
-                    compute: s.compute.clone(),
-                    duration: s.duration.clone(),
-                }
-            })
-            .collect();
-        let label = |i: usize| -> String {
-            if i + 1 == shards.len() {
-                "unrouted".to_string()
-            } else {
-                i.to_string()
-            }
-        };
-        for (name, help, pick) in [
+        for (name, help, histogram) in [
             (
                 "snn_request_queue_wait_seconds",
-                "Time requests sat in a replica queue before dispatch.",
-                (|s: &Shard| &s.queue_wait) as fn(&Shard) -> &LatencyHistogram,
+                "Time requests sat in the queue before dispatch.",
+                self.queue_wait_histogram(),
             ),
             (
                 "snn_request_compute_seconds",
                 "Engine execution time per request.",
-                |s: &Shard| &s.compute,
+                self.compute_histogram(),
             ),
             (
                 "snn_request_duration_seconds",
                 "Admission-to-settle wall time per request.",
-                |s: &Shard| &s.duration,
+                self.duration_histogram(),
+            ),
+            (
+                "snn_reactor_write_stall_seconds",
+                "Reactor write-queue residency per reply.",
+                self.write_stall_histogram(),
             ),
         ] {
-            let series: Vec<(Option<(&str, String)>, &LatencyHistogram)> = shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (Some(("replica", label(i))), pick(s)))
-                .collect();
-            render_histogram(out, name, help, &series);
+            render_histogram(out, name, help, &[(None, &histogram)]);
         }
-        let write_stall = self.write_stall_histogram();
-        render_histogram(
-            out,
-            "snn_reactor_write_stall_seconds",
-            "Reactor write-queue residency per reply.",
-            &[(None, &write_stall)],
-        );
     }
 }
 
@@ -700,7 +631,6 @@ impl std::fmt::Debug for SpanRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpanRecorder")
             .field("enabled", &self.enabled)
-            .field("shards", &(self.shards.len()))
             .field("open", &self.open_spans())
             .finish_non_exhaustive()
     }
@@ -722,7 +652,6 @@ pub struct TraceBuilder {
     current: Phase,
     elapsed: [f64; PHASE_COUNT],
     seen: [bool; PHASE_COUNT],
-    replica: Option<usize>,
     depth: Option<usize>,
 }
 
@@ -738,7 +667,6 @@ impl TraceBuilder {
             current: Phase::Admission,
             elapsed: [0.0; PHASE_COUNT],
             seen: [false; PHASE_COUNT],
-            replica: None,
             depth: None,
         }
     }
@@ -750,8 +678,8 @@ impl TraceBuilder {
     }
 
     /// Closes the current phase and enters `next`.  Re-entering the
-    /// current phase is a no-op; re-entering an earlier phase (a router
-    /// spill) accumulates into the existing span.
+    /// current phase is a no-op; re-entering an earlier phase accumulates
+    /// into the existing span.
     pub fn advance(&mut self, next: Phase) {
         if self.recorder.is_none() || self.current == next {
             return;
@@ -762,14 +690,12 @@ impl TraceBuilder {
         self.phase_started = now;
     }
 
-    /// Annotates the route decision: chosen replica and the queue depth
-    /// its placement view showed.  Overwritten on spill — the trace
-    /// reports where the submission actually landed.
-    pub fn note_route(&mut self, replica: usize, depth: usize) {
+    /// Annotates the route: the queue depth the submission found.  A
+    /// later call overwrites an earlier one.
+    pub fn note_route(&mut self, depth: usize) {
         if self.recorder.is_none() {
             return;
         }
-        self.replica = Some(replica);
         self.depth = Some(depth);
     }
 
@@ -797,7 +723,6 @@ impl TraceBuilder {
         recorder.complete(RequestTrace {
             request_id: self.request_id,
             unix_ms,
-            replica: self.replica,
             queue_depth_at_route: self.depth,
             phases,
             outcome,
@@ -819,17 +744,17 @@ impl Drop for TraceBuilder {
 mod tests {
     use super::*;
 
-    fn recorder(replicas: usize) -> Arc<SpanRecorder> {
-        Arc::new(SpanRecorder::new(replicas, true))
+    fn recorder() -> Arc<SpanRecorder> {
+        Arc::new(SpanRecorder::new(true))
     }
 
     #[test]
     fn a_full_lifecycle_produces_one_trace_with_ordered_phases() {
-        let recorder = recorder(2);
+        let recorder = recorder();
         let mut trace = recorder.begin(7);
         assert_eq!(recorder.open_spans(), 1);
         trace.advance(Phase::Route);
-        trace.note_route(1, 3);
+        trace.note_route(3);
         trace.advance(Phase::QueueWait);
         trace.advance(Phase::BatchAssembly);
         trace.advance(Phase::Compute);
@@ -839,7 +764,6 @@ mod tests {
         assert_eq!(traces.len(), 1);
         let t = &traces[0];
         assert_eq!(t.request_id, 7);
-        assert_eq!(t.replica, Some(1));
         assert_eq!(t.queue_depth_at_route, Some(3));
         assert_eq!(t.outcome, Outcome::Scores { total_cycles: 42 });
         let names: Vec<&str> = t.phases.iter().map(|s| s.phase.name()).collect();
@@ -862,7 +786,7 @@ mod tests {
 
     #[test]
     fn dropping_an_unfinished_builder_publishes_abandoned() {
-        let recorder = recorder(1);
+        let recorder = recorder();
         {
             let mut trace = recorder.begin(1);
             trace.advance(Phase::Route);
@@ -875,7 +799,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing() {
-        let recorder = Arc::new(SpanRecorder::new(2, false));
+        let recorder = Arc::new(SpanRecorder::new(false));
         let mut trace = recorder.begin(9);
         trace.advance(Phase::Compute);
         trace.finish(Outcome::Scores { total_cycles: 1 });
@@ -888,10 +812,10 @@ mod tests {
 
     #[test]
     fn ring_capacity_evicts_oldest_without_blocking() {
-        let recorder = Arc::new(SpanRecorder::with_capacity(1, true, 4));
+        let recorder = Arc::new(SpanRecorder::with_capacity(true, 4));
         for id in 0..10u64 {
             let mut trace = recorder.begin(id);
-            trace.note_route(0, 0);
+            trace.note_route(0);
             trace.finish(Outcome::Scores { total_cycles: id });
         }
         let traces = recorder.drain();
@@ -903,9 +827,9 @@ mod tests {
 
     #[test]
     fn write_stall_amends_the_completed_trace_and_its_histogram() {
-        let recorder = recorder(1);
+        let recorder = recorder();
         let mut trace = recorder.begin(3);
-        trace.note_route(0, 0);
+        trace.note_route(0);
         trace.finish(Outcome::Scores { total_cycles: 5 });
         recorder.record_write_stall(3, 0.002);
         assert_eq!(recorder.write_stall_histogram().count(), 1);
@@ -918,14 +842,14 @@ mod tests {
 
     #[test]
     fn spilled_route_phases_accumulate_into_one_span() {
-        let recorder = recorder(2);
+        let recorder = recorder();
         let mut trace = recorder.begin(11);
         trace.advance(Phase::Route);
-        trace.note_route(0, 5);
+        trace.note_route(5);
         trace.advance(Phase::QueueWait);
-        // Spill: back to routing, land elsewhere.
+        // Back to routing: the second visit accumulates into the first.
         trace.advance(Phase::Route);
-        trace.note_route(1, 0);
+        trace.note_route(0);
         trace.advance(Phase::QueueWait);
         trace.finish(Outcome::Scores { total_cycles: 1 });
         let traces = recorder.drain();
@@ -935,7 +859,11 @@ mod tests {
             .filter(|s| s.phase == Phase::Route)
             .count();
         assert_eq!(route_spans, 1, "re-entered phases merge");
-        assert_eq!(traces[0].replica, Some(1), "the landing replica wins");
+        assert_eq!(
+            traces[0].queue_depth_at_route,
+            Some(0),
+            "the last route wins"
+        );
     }
 
     #[test]
@@ -943,7 +871,6 @@ mod tests {
         let trace = RequestTrace {
             request_id: 12,
             unix_ms: 1_700_000_000_123,
-            replica: Some(1),
             queue_depth_at_route: Some(4),
             phases: vec![
                 PhaseSpan {

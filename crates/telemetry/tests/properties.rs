@@ -141,7 +141,7 @@ proptest! {
             &mut out,
             "snn_test_seconds",
             "Test histogram.",
-            &[(Some(("replica", label.clone())), &h)],
+            &[(Some(("reactor", label.clone())), &h)],
         );
         let lines: Vec<&str> = out.lines().collect();
         prop_assert_eq!(lines[0], "# HELP snn_test_seconds Test histogram.");
@@ -164,7 +164,7 @@ proptest! {
             if let Some(rest) = line.strip_prefix("snn_test_seconds_bucket{") {
                 bucket_lines += 1;
                 let (labels, value) = rest.rsplit_once("} ").unwrap();
-                prop_assert!(labels.starts_with("replica=\""));
+                prop_assert!(labels.starts_with("reactor=\""));
                 last_le = labels
                     .rsplit("le=\"")
                     .next()
@@ -186,12 +186,11 @@ proptest! {
     }
 
     /// Any trace the recorder can produce survives the JSONL round trip
-    /// with its identity, placement, outcome and phase set intact.
+    /// with its identity, queue depth, outcome and phase set intact.
     #[test]
     fn jsonl_round_trips_arbitrary_traces(
         request_id in 0u64..u64::MAX / 2,
         unix_ms in 0u64..4_000_000_000_000,
-        replica in proptest::option::of(0usize..8),
         depth in proptest::option::of(0usize..1024),
         phase_mask in 0u8..64,
         durations in proptest::collection::vec(0.0f64..100.0, 6..=6),
@@ -216,7 +215,6 @@ proptest! {
         let trace = RequestTrace {
             request_id,
             unix_ms,
-            replica,
             queue_depth_at_route: depth,
             phases,
             outcome,
@@ -226,7 +224,6 @@ proptest! {
         let parsed = parsed.expect("emitted line must parse");
         prop_assert_eq!(parsed.request_id, trace.request_id);
         prop_assert_eq!(parsed.unix_ms, trace.unix_ms);
-        prop_assert_eq!(parsed.replica, trace.replica);
         prop_assert_eq!(parsed.queue_depth_at_route, trace.queue_depth_at_route);
         prop_assert_eq!(&parsed.outcome, &trace.outcome);
         prop_assert_eq!(parsed.phases.len(), trace.phases.len());
