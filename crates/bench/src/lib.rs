@@ -1,8 +1,7 @@
 //! # snn-bench
 //!
 //! Experiment harnesses that regenerate every table of the paper's
-//! evaluation section, plus Criterion micro-benchmarks for the simulator
-//! itself.
+//! evaluation section.
 //!
 //! Each table has a binary that prints the regenerated rows:
 //!
@@ -21,22 +20,4 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod openloop;
-pub mod phases;
-pub mod serve_sweep;
-pub mod trend;
 pub mod workloads;
-
-use std::path::{Path, PathBuf};
-
-/// Where the criterion harnesses write their `BENCH_*.json` summary
-/// `file`: the workspace root when `CARGO_MANIFEST_DIR` is set at run time
-/// (`cargo bench` sets it to this package's directory), the current
-/// directory otherwise.  Resolved at run time, so a bench binary run from
-/// a copied target directory never writes into the tree it was built from.
-pub fn bench_output_path(file: &str) -> PathBuf {
-    match std::env::var_os("CARGO_MANIFEST_DIR") {
-        Some(dir) => Path::new(&dir).join("../..").join(file),
-        None => PathBuf::from(file),
-    }
-}

@@ -80,9 +80,10 @@ pub struct AcceleratorConfig {
     /// which the sparse convolution engine switches a row from the sparse
     /// scatter to the padded dense-row gather.  The choice never changes
     /// results — both paths add exactly the same terms — only host-side
-    /// throughput, so hosts can calibrate it (e.g. with the criterion
-    /// harness) without a rebuild.  The default of 0.5 reproduces the
-    /// engine's original fixed `2 * nnz >= w_out` rule.
+    /// throughput, so hosts can calibrate it (e.g. with the
+    /// `calibrate_threshold` bin of `snn-bench`) without a rebuild.  The
+    /// default of 0.5 reproduces the engine's original fixed
+    /// `2 * nnz >= w_out` rule.
     pub dense_gather_threshold: f64,
     /// Enable the **product-sparsity** prepass in the convolution engine
     /// (after Prosperity, HPCA 2025): within each input channel of a band,

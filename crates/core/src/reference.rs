@@ -9,13 +9,9 @@
 //! The optimised engines in [`crate::conv`] and [`crate::linear`] traverse
 //! packed spike bit-planes instead and *derive* the same counters
 //! analytically.  These reference models are kept (rather than deleted) for
-//! two reasons:
-//!
-//! 1. **Verification** — property tests assert that the sparse engines
-//!    produce bit-identical accumulators *and* bit-identical `UnitStats`
-//!    for arbitrary shapes, strides, paddings and data.
-//! 2. **Benchmarking** — the criterion harness measures the sparse engine
-//!    against this baseline so the speedup is tracked over time.
+//! verification only: property tests assert that the sparse engines
+//! produce bit-identical accumulators *and* bit-identical `UnitStats` for
+//! arbitrary shapes, strides, paddings and data.
 //!
 //! Nothing in the inference path calls into this module.
 

@@ -13,8 +13,7 @@
 //! under heavy traffic cannot oversubscribe the host.
 //! [`StreamServer::stats`] reports the cumulative counters (completed
 //! inferences, micro-batch sizes, wall-clock throughput, modelled
-//! per-unit utilisation) as one [`ServerStats`] view; the end-to-end
-//! benchmark records these in `BENCH_serve.json`.
+//! per-unit utilisation) as one [`ServerStats`] view.
 //!
 //! # Admission policy
 //!

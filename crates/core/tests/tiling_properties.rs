@@ -249,8 +249,8 @@ fn tiled_batches_match_solo_runs_and_the_oracle() {
 }
 
 /// Full-scale VGG-11 through the cycle-accurate `run` path under a buffer
-/// budget more than four times smaller than its largest layer — the PR's
-/// acceptance criterion and the paper's headline deployment.  Heavy
+/// budget more than four times smaller than its largest layer — the
+/// tiling acceptance bar and the paper's headline deployment.  Heavy
 /// (28.5 M parameters), so it is ignored by default and exercised by the
 /// CI smoke in release mode.
 #[test]

@@ -3,8 +3,10 @@
 //! The key pins: scores received over TCP are bit-identical to the
 //! matching in-process `StreamServer::submit`; a full submission queue
 //! answers with a typed REJECTED frame carrying a retry-after hint (and
-//! `ServerStats::rejected` counts it); malformed bytes get a protocol
-//! error, not a hang; shutdown is clean and drains accepted work.
+//! `ServerStats::rejected` counts exactly the rejections clients saw);
+//! 64 pipelined connections are served without shedding and leave one
+//! trace each; malformed bytes get a protocol error, not a hang; shutdown
+//! is clean and drains accepted work.
 
 use snn_accel::config::AcceleratorConfig;
 use snn_accel::serve::{ServerOptions, StreamServer};
@@ -13,7 +15,8 @@ use snn_model::params::Parameters;
 use snn_model::snn::SnnModel;
 use snn_model::zoo;
 use snn_net::protocol::{error_code, reject_scope, Frame};
-use snn_net::{scrape_stats, NetClient, NetError, NetOptions, NetServer};
+use snn_net::{scrape_stats, scrape_traces, NetClient, NetError, NetOptions, NetServer};
+use snn_telemetry::{Outcome, RequestTrace, DEFAULT_TRACE_CAPACITY};
 use snn_tensor::Tensor;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -175,11 +178,13 @@ fn full_queue_rejects_over_tcp_with_a_retry_hint() {
     let addr = server.local_addr();
 
     let rejected = Arc::new(AtomicBool::new(false));
+    let rejections = Arc::new(AtomicU64::new(0));
     let hint_ms = Arc::new(AtomicU64::new(0));
     let completed = Arc::new(AtomicU64::new(0));
     let threads: Vec<_> = (0..4)
         .map(|t| {
             let rejected = Arc::clone(&rejected);
+            let rejections = Arc::clone(&rejections);
             let hint_ms = Arc::clone(&hint_ms);
             let completed = Arc::clone(&completed);
             let input = inputs[t % inputs.len()].clone();
@@ -198,6 +203,7 @@ fn full_queue_rejects_over_tcp_with_a_retry_hint() {
                             assert_eq!(reply.capacity, 1);
                             assert!(reply.retry_after_ms >= 1, "hint must be positive");
                             hint_ms.store(reply.retry_after_ms, Ordering::Relaxed);
+                            rejections.fetch_add(1, Ordering::Relaxed);
                             rejected.store(true, Ordering::Release);
                             break;
                         }
@@ -219,7 +225,94 @@ fn full_queue_rejects_over_tcp_with_a_retry_hint() {
     assert!(hint_ms.load(Ordering::Relaxed) >= 1);
     let stats = server.shutdown();
     assert!(stats.server.rejected >= 1, "rejection must be counted");
+    assert_eq!(
+        stats.server.rejected,
+        rejections.load(Ordering::Relaxed),
+        "every counted rejection reached a client as a REJECTED frame"
+    );
     assert_eq!(stats.server.completed, completed.load(Ordering::Relaxed));
+}
+
+/// Sixty-four concurrent connections, each pipelining four LeNet
+/// inferences: every reply matches in-process `submit` bit-exactly, the
+/// reactor holds every connection without shedding, and the TRACES drain
+/// returns exactly one trace per request.
+#[test]
+fn many_pipelined_connections_match_submit_and_leave_one_trace_each() {
+    const CONNECTIONS: usize = 64;
+    const DEPTH: usize = 4;
+    const REQUESTS: usize = CONNECTIONS * DEPTH;
+    const {
+        assert!(
+            REQUESTS <= DEFAULT_TRACE_CAPACITY,
+            "the ring must not evict"
+        )
+    };
+
+    let (model, inputs) = lenet_setup(8);
+    let config = AcceleratorConfig::lenet_table3();
+    let options = NetOptions {
+        server: ServerOptions {
+            trace: true,
+            ..ServerOptions::default()
+        },
+        ..NetOptions::default()
+    };
+    let net_server = NetServer::bind("127.0.0.1:0", config, model.clone(), options).unwrap();
+    let addr = net_server.local_addr();
+    let in_process = StreamServer::start(config, model).unwrap();
+    let expected: Vec<_> = inputs
+        .iter()
+        .map(|input| in_process.submit(input.clone()).unwrap().wait().unwrap())
+        .collect();
+    in_process.shutdown();
+
+    let workers: Vec<_> = (0..CONNECTIONS)
+        .map(|c| {
+            let indices: Vec<usize> = (0..DEPTH).map(|r| (c + r) % inputs.len()).collect();
+            let batch: Vec<Tensor<f32>> = indices.iter().map(|&i| inputs[i].clone()).collect();
+            std::thread::spawn(move || {
+                let mut client = NetClient::connect(addr).unwrap();
+                let replies = client.infer_many(&batch).unwrap();
+                assert_eq!(replies.len(), DEPTH);
+                replies
+                    .into_iter()
+                    .zip(indices)
+                    .map(|(reply, i)| (reply.expect("pipelined inference succeeds"), i))
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut served = 0usize;
+    for worker in workers {
+        for (wire, i) in worker.join().unwrap() {
+            assert_eq!(
+                wire.logits, expected[i].logits,
+                "logits must be bit-identical"
+            );
+            assert_eq!(wire.prediction as usize, expected[i].prediction);
+            assert_eq!(wire.total_cycles, expected[i].total_cycles());
+            served += 1;
+        }
+    }
+    assert_eq!(served, REQUESTS);
+
+    let traces: Vec<RequestTrace> = scrape_traces(addr)
+        .unwrap()
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| RequestTrace::from_json_line(l).expect("parse trace line"))
+        .collect();
+    assert_eq!(traces.len(), REQUESTS, "exactly one trace per request");
+    assert!(traces
+        .iter()
+        .all(|t| matches!(t.outcome, Outcome::Scores { .. })));
+
+    let stats = net_server.shutdown();
+    assert_eq!(stats.turned_away, 0, "no connection may be shed");
+    assert_eq!(stats.server.completed, REQUESTS as u64);
+    assert_eq!(stats.server.rejected, 0);
+    assert_eq!(stats.protocol_errors, 0);
 }
 
 #[test]

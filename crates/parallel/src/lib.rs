@@ -16,8 +16,7 @@
 //!   read once from the `SNN_THREADS` environment variable, falling back to
 //!   the machine's available parallelism with a floor of two (on a
 //!   single-core host, splitting data-parallel loops in two measured
-//!   slightly faster than the old per-call scoped spawns in
-//!   `BENCH_conv.json`).
+//!   slightly faster than the old per-call scoped spawns).
 //! * **Persistent worker pool** — `total - 1` workers are spawned lazily on
 //!   first use and live for the rest of the process.  [`par_map`] and
 //!   [`par_chunks_mut`] split their input into blocks and submit them as
@@ -113,8 +112,8 @@ impl ThreadBudget {
             .unwrap_or(1);
         // Floor of two: single-core hosts split data-parallel loops in
         // two, which measured slightly *faster* on a 1-core host than the
-        // old per-call scoped spawns (BENCH_conv.json).  `SNN_THREADS=1`
-        // restores strictly sequential execution.
+        // old per-call scoped spawns.  `SNN_THREADS=1` restores strictly
+        // sequential execution.
         ThreadBudget::new(cores.max(2))
     }
 

@@ -19,8 +19,9 @@
 //! 2. **JSONL trace dump** — [`SpanRecorder::render_jsonl`] drains the
 //!    ring buffer into one [`RequestTrace::to_json_line`]
 //!    line per trace (STATS format byte `2 = TRACES` on the wire).
-//! 3. **Bench percentiles** — [`LatencyHistogram::quantile`] gives the
-//!    bench harnesses p50/p99/p999 per phase for `BENCH_*.json`.
+//! 3. **Percentiles** — [`LatencyHistogram::quantile`] estimates
+//!    p50/p99/p999 per phase from the bucket counts for in-process
+//!    readers; the Prometheus exposition ships the buckets themselves.
 //!
 //! Design constraints (see `ARCHITECTURE.md` § Observability): the hot
 //! path is wait-free — a span start is two `Instant` reads and an array
